@@ -8,7 +8,6 @@ tangency Jacobian at a bond is the second.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,9 +15,9 @@ import numpy as np
 import sympy as sp
 
 from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
-                     sphere_condition)
-from .polyalg import (GaussRat, is_exact, mat_det, mat_rank, to_complex,
-                      to_sympy)
+                     phi_gradient, sphere_condition)
+from .polyalg import GaussRat, exactify, is_exact, numeric_rank, to_complex
+from .reduced import Reduction, choose_pivots
 
 _FREE_SYMS = sp.symbols("u v w")
 
@@ -59,11 +58,6 @@ class NecessityVerdict:
 # find_bonds
 # ---------------------------------------------------------------------------
 
-# coordinate order with x0 removed
-_CO = (0, 2, 3, 4, 5, 6, 7, 8)          # indices into the 9-tuple
-_PREFERRED_PIVOTS = (0, 4, 5, 6, 7)     # n0, y0, y1, y2, y3 within _CO
-
-
 def find_bonds(constraints, tol: float = 1e-9,
                cross_check: bool = True) -> list[Bond]:
     """All bonds of a 5-hyperplane constraint system, up to scalar multiples.
@@ -76,17 +70,16 @@ def find_bonds(constraints, tol: float = 1e-9,
     """
     if len(constraints) != 5:
         raise BondError("exactly five constraint hyperplanes required")
-    rows = [[_exact_entry(c) for c in hp.coeffs] for hp in constraints]
-    if mat_rank(rows) < 5:
+    rows = [[exactify(c) for c in hp.coeffs] for hp in constraints]
+    pivots = choose_pivots(rows)
+    if pivots is None:
         raise DependentConstraintsError(
             "constraint hyperplanes are linearly dependent")
-    m8 = [[row[i] for i in _CO] for row in rows]
-    pivots = _choose_pivots(m8)
-    bonds = _find_bonds_with_pivots(m8, pivots)
+    bonds = _find_bonds_with_pivots(rows, pivots)
     if cross_check:
-        alt = _alternative_pivots(m8, pivots)
+        alt = choose_pivots(rows, skip=pivots)
         if alt is not None:
-            other = _find_bonds_with_pivots(m8, alt)
+            other = _find_bonds_with_pivots(rows, alt)
             if _bond_keys(other) != _bond_keys(bonds):
                 raise BondError(
                     "bond set depends on the pivot choice; the system is "
@@ -94,9 +87,9 @@ def find_bonds(constraints, tol: float = 1e-9,
     return _pair_conjugates(bonds)
 
 
-def _find_bonds_with_pivots(m8, pivots):
-    coords = _solve_linear(m8, pivots)
-    quads = [sp.expand(g) for g in _gamma_exprs(coords)]
+def _find_bonds_with_pivots(rows, pivots):
+    coords = Reduction(rows, pivots).coords(_FREE_SYMS, x0=0)
+    quads = [sp.expand(g) for g in gamma_residuals(coords)]
     solutions = _solve_conic_system([q for q in quads if q != 0])
     bonds = []
     for sol, mult in solutions:
@@ -105,15 +98,6 @@ def _find_bonds_with_pivots(m8, pivots):
             continue
         bonds.append((full, mult))
     return _normalize_and_dedupe(bonds)
-
-
-def _alternative_pivots(m8, pivots):
-    for piv in itertools.combinations(range(8), 5):
-        if piv == tuple(pivots):
-            continue
-        if mat_det([[row[c] for c in piv] for row in m8]):
-            return piv
-    return None
 
 
 def _bond_keys(entries):
@@ -125,54 +109,6 @@ def _bond_keys(entries):
             complex(round((v / lead).real, 7), round((v / lead).imag, 7))
             for v in vals))
     return sorted(map(str, keys))
-
-
-def _exact_entry(c):
-    from .polyalg import exactify
-    return exactify(c)
-
-
-def _choose_pivots(m8):
-    cols = list(range(8))
-    candidates = [_PREFERRED_PIVOTS] + [
-        t for t in itertools.combinations(cols, 5) if t != _PREFERRED_PIVOTS]
-    for piv in candidates:
-        sub = [[row[c] for c in piv] for row in m8]
-        if mat_det(sub):
-            return piv
-    raise DependentConstraintsError("no invertible 5x5 pivot minor exists")
-
-
-def _solve_linear(m8, pivots):
-    """Return the 9 coordinates as sympy expressions in the free symbols
-    (x0 = 0 substituted)."""
-    free_cols = [c for c in range(8) if c not in pivots]
-    u, v, w = _FREE_SYMS
-    free_syms = [u, v, w]
-    A = sp.Matrix([[to_sympy(m8[r][c]) for c in pivots] for r in range(5)])
-    rhs = -sp.Matrix([[sum(to_sympy(m8[r][c]) * s
-                           for c, s in zip(free_cols, free_syms))]
-                      for r in range(5)])
-    sol = A.LUsolve(rhs)
-    coords = [sp.Integer(0)] * 9
-    for c, s in zip(free_cols, free_syms):
-        coords[_CO[c]] = s
-    for k, c in enumerate(pivots):
-        coords[_CO[c]] = sp.expand(sol[k])
-    coords[1] = sp.Integer(0)  # x0
-    return coords
-
-
-def _gamma_exprs(coords):
-    n0, x0, x1, x2, x3, y0, y1, y2, y3 = coords
-    return (
-        x1 * x1 + x2 * x2 + x3 * x3,
-        y1 * y1 + y2 * y2 + y3 * y3,
-        x1 * y1 + x2 * y2 + x3 * y3,
-        x1 * y2 - x2 * y1,
-        x1 * y3 - x3 * y1,
-        x2 * y3 - x3 * y2,
-    )
 
 
 def _solve_conic_system(quads):
@@ -192,7 +128,11 @@ def _solve_conic_system(quads):
     if partner is None:
         raise DegenerateBondSystemError(
             "boundary quadrics cut out a conic of bonds")
-    res = sp.expand(sp.resultant(base, partner, w))
+    # a conic free of w is itself the binary form of the candidates; the
+    # resultant would raise the order of its roots to the other's w-degree
+    res = next((q for q in (base, partner) if not q.has(w)), None)
+    if res is None:
+        res = sp.expand(sp.resultant(base, partner, w))
     if res == 0:
         raise DegenerateBondSystemError(
             "two boundary quadrics share a common component")
@@ -352,12 +292,6 @@ def _proj_same(m1: MotionParams, m2: MotionParams, tol=1e-8) -> bool:
 # tangency rank and the composite verdict
 # ---------------------------------------------------------------------------
 
-def bond_residuals(constraints, b: Bond):
-    g = gamma_residuals(b.params)
-    h = [hp.evaluate(b.params) for hp in constraints]
-    return list(g) + h
-
-
 def is_bond(constraints, m: MotionParams, tol: float = 1e-9) -> bool:
     if m.x0:
         return False
@@ -374,38 +308,14 @@ def tangency_rank(constraints, b: Bond, tol: float = 1e-9) -> int:
     condition for a self-motion."""
     if not is_bond(constraints, b.params, tol):
         raise BondError("the given point is not a bond of this system")
-    n0, x0, x1, x2, x3, y0, y1, y2, y3 = b.params.coords()
-    grad_rows = [
-        [0, -2 * x0, 2 * x1, 2 * x2, 2 * x3, 0, 0, 0, 0],
-        [-8 * x0, -8 * n0, 0, 0, 0, 0, 2 * y1, 2 * y2, 2 * y3],
-        [0, -y0, y1, y2, y3, -x0, x1, x2, x3],
-    ]
-    rows = grad_rows + [list(hp.coeffs) for hp in constraints]
-    flat = [c for row in rows for c in row]
-    if all(is_exact(c) or isinstance(c, int) for c in flat):
-        from .polyalg import exactify
-        return mat_rank([[exactify(c) for c in row] for row in rows])
-    arr = np.array([[to_complex(c) for c in row] for row in rows], dtype=complex)
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(s > tol * s[0] * max(arr.shape))) if s[0] else 0
+    rows = list(phi_gradient(b.params)) + [hp.coeffs for hp in constraints]
+    return numeric_rank(rows, tol)
 
 
 def phi_gradient_rank(b: Bond, tol: float = 1e-9) -> int:
     """Rank of the three boundary-quadric gradients alone; < 3 marks a
     singular point of the image variety."""
-    n0, x0, x1, x2, x3, y0, y1, y2, y3 = b.params.coords()
-    rows = [
-        [0, -2 * x0, 2 * x1, 2 * x2, 2 * x3, 0, 0, 0, 0],
-        [-8 * x0, -8 * n0, 0, 0, 0, 0, 2 * y1, 2 * y2, 2 * y3],
-        [0, -y0, y1, y2, y3, -x0, x1, x2, x3],
-    ]
-    flat = [c for row in rows for c in row]
-    if all(is_exact(c) or isinstance(c, int) for c in flat):
-        from .polyalg import exactify
-        return mat_rank([[exactify(c) for c in row] for row in rows])
-    arr = np.array([[to_complex(c) for c in row] for row in rows], dtype=complex)
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(s > tol * s[0] * max(arr.shape))) if s[0] else 0
+    return numeric_rank(phi_gradient(b.params), tol)
 
 
 def constraints_of(p: Pentapod):

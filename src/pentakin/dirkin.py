@@ -9,16 +9,17 @@ it is a tangent or singular contact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .bonds import DependentConstraintsError, necessity_verdict
-from .kinmap import Leg, MotionParams, Pentapod, phi_residuals, sphere_condition
-from .polyalg import mat_det, mat_rank, to_float, to_sympy
+from .kinmap import (Leg, MotionParams, Pentapod, phi_gradient, phi_residuals,
+                     sphere_condition)
+from .polyalg import exactify, to_float
 from .rearrange import require_member
+from .reduced import Reduction, choose_pivots
 
 _XS = sp.symbols("q1 q2 q3")
 
@@ -52,11 +53,6 @@ class DKResult:
 
 
 _COORD_NAMES = ("n0", "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
-_PIVOT_PREFS = (
-    (0, 5, 6, 7, 8),   # n0, y0..y3
-    (0, 5, 6, 7, 4), (0, 5, 6, 8, 3), (0, 5, 7, 8, 2),
-    (0, 5, 6, 7, 2), (0, 5, 6, 7, 3),
-)
 
 
 def solve_dk(p: Pentapod, lengths=None, lengths2=None,
@@ -69,24 +65,19 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     extraneous factors are removed by back-substitution filtering).
     """
     legs = _legs_with_lengths(p, lengths, lengths2)
-    cons = [sphere_condition(leg) for leg in legs]
-    rows = [[to_sympy(c) for c in hp.coeffs] for hp in cons]
-    exact_rows = [[_frac(c) for c in hp.coeffs] for hp in cons]
-    if mat_rank(exact_rows) < 5:
+    rows = [[exactify(c) for c in sphere_condition(leg).coeffs] for leg in legs]
+    pivots = choose_pivots(rows)
+    if pivots is None:
         raise DependentConstraintsError(
             "sphere hyperplanes are linearly dependent: architecturally "
             "singular geometry")
-    pivots = _choose_pivots(exact_rows)
-    coords, fsyms = _linear_reduce(rows, pivots)
-    n0, x0, x1, x2, x3, y0, y1, y2, y3 = coords
-    Q1 = sp.expand(x1 * x1 + x2 * x2 + x3 * x3 - 1)
-    Q2 = sp.expand(y1 * y1 + y2 * y2 + y3 * y3 - 8 * n0)
-    Q3 = sp.expand(x1 * y1 + x2 * y2 + x3 * y3 - y0)
+    red = Reduction(rows, pivots)
+    Q1, Q2, Q3 = red.quadrics(_XS)
     elim = None
     route = ""
     # rotate the elimination roles when the last variable degenerates
     for rot, (f1, f2, f3) in enumerate(
-            (fsyms, fsyms[1:] + fsyms[:1], fsyms[2:] + fsyms[:2])):
+            (_XS, _XS[1:] + _XS[:1], _XS[2:] + _XS[:2])):
         if sp.Poly(Q3, f1).degree() == 1:
             route = "linear-x1"
             elim = _eliminate_linear(Q1, Q2, Q3, f1, f2, f3)
@@ -102,8 +93,8 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     elim = _primitive(elim, f3)
     quads = (Q1, Q2, Q3)
     order = [f1, f2, f3]
-    elim = _drop_extraneous(elim, quads, coords, order, tol)
-    sols = _real_solutions(elim, quads, coords, order, legs, tol)
+    elim = _drop_extraneous(elim, quads, red, order, tol)
+    sols = _real_solutions(elim, quads, red, order, legs, tol)
     pivot_names = tuple(_COORD_NAMES[c] for c in pivots)
     return DKResult(elim, str(f3), tuple(sols), route, pivot_names)
 
@@ -116,37 +107,6 @@ def _legs_with_lengths(p, lengths, lengths2):
     if all(l.r2 is not None for l in p.legs):
         return list(p.legs)
     raise DirkinError("leg lengths are required")
-
-
-def _frac(c):
-    from .polyalg import exactify
-    return exactify(c)
-
-
-def _choose_pivots(rows):
-    for piv in _PIVOT_PREFS:
-        if mat_det([[r[c] for c in piv] for r in rows]):
-            return piv
-    for piv in itertools.combinations((0, 5, 6, 7, 8, 2, 3, 4), 5):
-        if mat_det([[r[c] for c in piv] for r in rows]):
-            return piv
-    raise DependentConstraintsError("no invertible pivot minor exists")
-
-
-def _linear_reduce(rows, pivots):
-    free = [c for c in (2, 3, 4, 0, 5, 6, 7, 8) if c not in pivots][:3]
-    fsyms = list(_XS)
-    coords = [sp.Integer(0)] * 9
-    coords[1] = sp.Integer(1)
-    for c, s in zip(free, fsyms):
-        coords[c] = s
-    M = sp.Matrix(rows)
-    A = M[:, list(pivots)]
-    rhs = -sum((M[:, c] * coords[c] for c in free + [1]), sp.zeros(5, 1))
-    sol = A.LUsolve(rhs)
-    for k, c in enumerate(pivots):
-        coords[c] = sp.expand(sol[k])
-    return coords, fsyms
 
 
 def _eliminate_linear(Q1, Q2, Q3, f1, f2, f3):
@@ -186,7 +146,7 @@ def _primitive(poly: sp.Poly, var) -> sp.Poly:
     return prim
 
 
-def _drop_extraneous(elim, quads, coords, fsyms, tol):
+def _drop_extraneous(elim, quads, red, fsyms, tol):
     """Keep only irreducible factors whose roots back-substitute to genuine
     configurations."""
     if elim.degree() <= 0:
@@ -198,7 +158,7 @@ def _drop_extraneous(elim, quads, coords, fsyms, tol):
         if fp.degree() == 0:
             continue
         roots = np.roots([complex(c) for c in fp.all_coeffs()])
-        good = any(_complete(r, quads, coords, fsyms, tol) is not None
+        good = any(_complete(r, quads, red, fsyms, tol) is not None
                    for r in roots)
         if good:
             kept = kept * fct ** mult
@@ -206,7 +166,7 @@ def _drop_extraneous(elim, quads, coords, fsyms, tol):
     return _primitive(out, var) if out.degree() > 0 else out
 
 
-def _complete(root, quads, coords, fsyms, tol):
+def _complete(root, quads, red, fsyms, tol):
     """Back-substitute an elimination root to a full configuration; None
     when no completion passes the residual filter."""
     f1, f2, f3 = fsyms
@@ -225,8 +185,8 @@ def _complete(root, quads, coords, fsyms, tol):
         if p1.degree() < 1:
             continue
         for r1 in np.roots([complex(c) for c in p1.all_coeffs()]):
-            subs = {f1: complex(r1), f2: complex(r2), f3: t}
-            vals = [complex(c.subs(subs)) for c in coords]
+            point = {f1: r1, f2: r2, f3: t}
+            vals = (red.Tn @ np.array([1, *(point[q] for q in _XS)])).tolist()
             m = MotionParams(*vals)
             res = [abs(complex(v)) for v in phi_residuals(m)]
             scale = 1 + sum(abs(v) ** 2 for v in vals)
@@ -236,24 +196,27 @@ def _complete(root, quads, coords, fsyms, tol):
     return best
 
 
-def _polish(quads, fsyms, point, steps: int = 30):
-    """Newton refinement of a candidate root of the three reduced quadrics;
-    returns the best iterate by residual."""
-    F_ = sp.lambdify(fsyms, list(quads), "numpy")
-    J_ = sp.lambdify(fsyms, [[sp.diff(q, s) for s in fsyms] for q in quads],
-                     "numpy")
+def _polish(red, point, steps: int = 30):
+    """Newton refinement of a candidate root (s1, s2, s3) of the three
+    reduced quadrics; returns the best iterate by residual."""
+    T = red.Tn
+
+    def F_(v):
+        return np.array(phi_residuals(T @ np.r_[1, v]), dtype=complex)
+
+    def J_(v):
+        return np.array(phi_gradient(T @ np.r_[1, v]), dtype=complex) @ T[:, 1:]
+
     x = np.array(point, dtype=complex)
 
     def res(v):
-        f = np.array(F_(*v), dtype=complex)
-        return float(np.abs(f).max())
+        return float(np.abs(F_(v)).max())
 
     best = (res(x), tuple(x))
     for _ in range(steps):
-        f = np.array(F_(*x), dtype=complex)
+        f = F_(x)
         try:
-            dx = np.linalg.lstsq(np.array(J_(*x), dtype=complex), f,
-                                 rcond=None)[0]
+            dx = np.linalg.lstsq(J_(x), f, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
         # damped steps guard against overshooting near root collisions
@@ -270,30 +233,29 @@ def _polish(quads, fsyms, point, steps: int = 30):
             break
     scale = 1 + max(abs(v) for v in best[1]) ** 2
     if best[0] > 1e-12 * scale:
-        refined = _polish_mp(quads, fsyms, best[1])
+        refined = _polish_mp(red, best[1])
         if refined is not None:
             return refined
     return best[1]
 
 
-def _polish_mp(quads, fsyms, point, steps: int = 40):
+def _polish_mp(red, point, steps: int = 40):
     """High-precision Newton for fibers too ill-conditioned for float64."""
     import mpmath
     with mpmath.workdps(40):
-        F_ = sp.lambdify(fsyms, list(quads), "mpmath")
-        J_ = sp.lambdify(fsyms, [[sp.diff(q, s) for s in fsyms]
-                                 for q in quads], "mpmath")
+        T = red.mp_matrix()
         x = [mpmath.mpc(v) for v in point]
         best = None
         for _ in range(steps):
-            f = mpmath.matrix(F_(*x))
+            c = list(T * mpmath.matrix([1, *x]))
+            f = mpmath.matrix(phi_residuals(c))
             r = max(abs(v) for v in f)
             if best is None or r < best[0]:
                 best = (r, list(x))
             if r < mpmath.mpf("1e-30"):
                 break
             try:
-                J = mpmath.matrix(J_(*x))
+                J = mpmath.matrix(phi_gradient(c)) * T[:, 1:4]
                 dx = mpmath.lu_solve(J, f)
             except Exception:
                 break
@@ -303,20 +265,18 @@ def _polish_mp(quads, fsyms, point, steps: int = 40):
         return tuple(complex(v) for v in best[1])
 
 
-def _real_solutions(elim, quads, coords, fsyms, legs, tol):
+def _real_solutions(elim, quads, red, fsyms, legs, tol):
     from .polyalg import real_roots
     sols = []
     if elim.degree() <= 0:
         return sols
-    free_pos = [coords.index(s) for s in fsyms]
     for root, _ in real_roots(elim):
-        out = _complete(root, quads, coords, fsyms, tol)
+        out = _complete(root, quads, red, fsyms, tol)
         if out is None:
             continue
         err, m = out
-        start = [complex(m.coords()[i]) for i in free_pos]
-        subs = dict(zip(fsyms, _polish(quads, fsyms, start)))
-        vals = [complex(c.subs(subs)) for c in coords]
+        start = [m.coords()[i] for i in red.free]
+        vals = (red.Tn @ np.r_[1, _polish(red, start)]).tolist()
         m = MotionParams(*vals)
         scale = 1 + sum(abs(v) ** 2 for v in vals)
         err = max(abs(complex(v)) for v in phi_residuals(m)) / scale

@@ -260,21 +260,39 @@ def displacement(m: MotionParams, a, tol: float = 1e-9):
     return (-a * mn.x1 - mn.y1, -a * mn.x2 - mn.y2, -a * mn.x3 - mn.y3)
 
 
-def phi_residuals(m: MotionParams):
-    """The three quadrics generating the ideal of the image variety."""
-    x1, x2, x3 = m.x()
-    y1, y2, y3 = m.y()
+def _coords(m):
+    return m.coords() if isinstance(m, MotionParams) else tuple(m)
+
+
+def phi_residuals(m):
+    """The three quadrics generating the ideal of the image variety.
+
+    `m` is a MotionParams or any nine coordinates in COORD_NAMES order:
+    scalars, sympy expressions, or NumPy arrays of samples.
+    """
+    n0, x0, x1, x2, x3, y0, y1, y2, y3 = _coords(m)
     return (
-        x1 * x1 + x2 * x2 + x3 * x3 - m.x0 * m.x0,
-        y1 * y1 + y2 * y2 + y3 * y3 - 8 * m.x0 * m.n0,
-        x1 * y1 + x2 * y2 + x3 * y3 - m.x0 * m.y0,
+        x1 * x1 + x2 * x2 + x3 * x3 - x0 * x0,
+        y1 * y1 + y2 * y2 + y3 * y3 - 8 * x0 * n0,
+        x1 * y1 + x2 * y2 + x3 * y3 - x0 * y0,
     )
 
 
-def gamma_residuals(m: MotionParams):
-    """Residuals of the boundary 4-fold (intended for points with x0 = 0)."""
-    x1, x2, x3 = m.x()
-    y1, y2, y3 = m.y()
+def phi_gradient(m):
+    """Gradients of the three :func:`phi_residuals` quadrics with respect to
+    the nine coordinates, as three rows; `m` as for phi_residuals."""
+    n0, x0, x1, x2, x3, y0, y1, y2, y3 = _coords(m)
+    return (
+        (0, -2 * x0, 2 * x1, 2 * x2, 2 * x3, 0, 0, 0, 0),
+        (-8 * x0, -8 * n0, 0, 0, 0, 0, 2 * y1, 2 * y2, 2 * y3),
+        (0, -y0, y1, y2, y3, -x0, x1, x2, x3),
+    )
+
+
+def gamma_residuals(m):
+    """Residuals of the boundary 4-fold (intended for points with x0 = 0);
+    `m` as for phi_residuals."""
+    _, _, x1, x2, x3, _, y1, y2, y3 = _coords(m)
     return (
         x1 * x1 + x2 * x2 + x3 * x3,
         y1 * y1 + y2 * y2 + y3 * y3,

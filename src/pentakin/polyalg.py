@@ -235,10 +235,6 @@ def to_sympy(x):
     raise PolyalgError(f"cannot convert {x!r} to sympy")
 
 
-def from_sympy(x) -> Fraction | GaussRat:
-    return exactify(x)
-
-
 # ---------------------------------------------------------------------------
 # exact dense linear algebra over Fraction / GaussRat
 # ---------------------------------------------------------------------------
@@ -383,7 +379,7 @@ def numeric_rank(m, tol: float = 1e-9) -> int:
         raise PolyalgError("rank of an empty matrix")
     flat = list(itertools.chain.from_iterable(m))
     if all(is_exact(e) for e in flat):
-        return mat_rank(m)
+        return mat_rank([[exactify(e) for e in row] for row in m])
     arr = np.array([[to_complex(e) for e in row] for row in m], dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise PolyalgError("non-finite matrix entry")
@@ -396,12 +392,6 @@ def numeric_rank(m, tol: float = 1e-9) -> int:
 # ---------------------------------------------------------------------------
 # polynomials (sympy-backed)
 # ---------------------------------------------------------------------------
-
-def as_sympy_poly(p, var) -> sp.Poly:
-    if isinstance(p, sp.Poly):
-        return p if var in p.gens else sp.Poly(p.as_expr(), var)
-    return sp.Poly(p, var)
-
 
 def resultant(p, q, var) -> sp.Expr:
     """Sylvester resultant of p and q with respect to var.

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import sympy as sp
 
 from .archsing import (WrongBranchError, classify_arch, planar_D,
                        planar_relabeling, validate_assumptions, _sub, _dot,
-                       _cross)
+                       _cross, _D_ijk)
 from .geom import ProjPoint
 from .kinmap import Pentapod
 from .polyalg import mat_solve_general, exactify
@@ -157,19 +158,6 @@ def _content_normalize(exprs):
     return [sp.Poly(q.as_expr() / c, A_SYM) for q in polys]
 
 
-def _D_table(a, M):
-    rows = []
-    for v, (A, B, C) in zip(a[1:], M[1:]):
-        rows.append([v, A, B, C, v * A, v * B, v * C])
-    from .polyalg import mat_det
-
-    def D(i, j, k):
-        keep = [c for c in range(7) if c + 1 not in (i, j, k)]
-        return mat_det([[row[c] for c in keep] for row in rows])
-
-    return D
-
-
 def replacement_cubic(p: Pentapod) -> CubicCorrespondence:
     """Cramer polynomials of the replacement system: the 3x3 linear system
     for D567 != 0, or its affine-relation variant for D567 = 0."""
@@ -180,7 +168,7 @@ def replacement_cubic(p: Pentapod) -> CubicCorrespondence:
     M1 = p.legs[0].base
     a = [leg.a - a1 for leg in p.legs]
     M = [tuple(_sub(leg.base, M1)) for leg in p.legs]
-    D = _D_table(a, M)
+    D = partial(_D_ijk, a, M)
     D567 = D(5, 6, 7)
     perm = (0, 1, 2)
     if D567 != 0:
@@ -226,7 +214,7 @@ def _system_affine_relation(a, M):
     leading determinant of its branch is nonzero."""
     for perm in _AXIS_PERMS:
         Mp = [tuple(q[c] for c in perm) for q in M]
-        D = _D_table(a, Mp)
+        D = partial(_D_ijk, a, Mp)
         if D(1, 6, 7) == 0:
             continue
         M0 = [[D(2, 6, 7), -D(3, 6, 7), D(4, 6, 7)],

@@ -21,11 +21,11 @@ import sympy as sp
 from .archsing import WrongBranchError, _cross, _dot, _sub
 from .geom import ProjPoint
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
-                     phi_residuals)
-from .polyalg import (GaussRat, exactify, mat_solve_general, to_float,
-                      to_sympy)
+                     phi_gradient, phi_residuals)
+from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, PentapodClass, classify_type,
                         require_member, A_SYM)
+from .reduced import Reduction, choose_pivots
 
 _I = GaussRat(0, 1)
 
@@ -300,31 +300,32 @@ def _cylinder_levels(qpoly, dk_exprs, W) -> Duporcq:
 def _duporcq_numeric(d0, dk_exprs, tol: float = 1e-25) -> Duporcq:
     import mpmath
     a = A_SYM
-    mpmath.mp.dps = 40
-    coeffs = [mpmath.mpf(str(sp.Rational(c))) for c in sp.Poly(d0, a).all_coeffs()]
-    rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
-    real = [r for r in rts if abs(mpmath.im(r)) < 1e-25]
-    cplx = [r for r in rts if mpmath.im(r) > 1e-25]
-    if len(real) != 1 or len(cplx) != 1:
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(str(sp.Rational(c)))
+                  for c in sp.Poly(d0, a).all_coeffs()]
+        rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
+        real = [r for r in rts if abs(mpmath.im(r)) < 1e-25]
+        cplx = [r for r in rts if mpmath.im(r) > 1e-25]
+        if len(real) != 1 or len(cplx) != 1:
+            return Duporcq.NONE
+        dk = [sp.lambdify(a, e, "mpmath") for e in dk_exprs]
+        W = [mpmath.mpc(f(real[0])) for f in dk]
+        D = [mpmath.mpc(f(cplx[0])) for f in dk]
+        # normalize projectively so the residual tests are scale-free
+        nD = mpmath.sqrt(sum(abs(z) ** 2 for z in D))
+        nW = mpmath.sqrt(sum(abs(z) ** 2 for z in W))
+        if nD == 0 or nW == 0:
+            return Duporcq.NONE
+        D = [z / nD for z in D]
+        W = [z / nW for z in W]
+        DD = sum(z * z for z in D)
+        DW = sum(z * wv for z, wv in zip(D, W))
+        WW = sum(wv * wv for wv in W)
+        if abs(DD) <= tol and abs(DW) <= tol:
+            return Duporcq.FULL
+        if abs(DD * WW - DW * DW) <= tol:
+            return Duporcq.FIRST_ONLY
         return Duporcq.NONE
-    dk = [sp.lambdify(a, e, "mpmath") for e in dk_exprs]
-    W = [mpmath.mpc(f(real[0])) for f in dk]
-    D = [mpmath.mpc(f(cplx[0])) for f in dk]
-    # normalize projectively so the residual tests are scale-free
-    nD = mpmath.sqrt(sum(abs(z) ** 2 for z in D))
-    nW = mpmath.sqrt(sum(abs(z) ** 2 for z in W))
-    if nD == 0 or nW == 0:
-        return Duporcq.NONE
-    D = [z / nD for z in D]
-    W = [z / nW for z in W]
-    DD = sum(z * z for z in D)
-    DW = sum(z * wv for z, wv in zip(D, W))
-    WW = sum(wv * wv for wv in W)
-    if abs(DD) <= tol and abs(DW) <= tol:
-        return Duporcq.FULL
-    if abs(DD * WW - DW * DW) <= tol:
-        return Duporcq.FIRST_ONLY
-    return Duporcq.NONE
 
 
 def _duporcq_conic(cls: PentapodClass) -> Duporcq:
@@ -456,39 +457,28 @@ def trace(design: SelfMotionDesign, samples: int = 200,
     return _trace_type5(design, samples, tol)
 
 
-def _reduced_quadrics(design):
-    """Solve the 5 linear constraints exactly and return the reduced
-    quadrics in the remaining coordinates (sympy exprs) plus the coordinate
-    map as sympy expressions."""
-    cons = design.constraints()
-    rows = [[to_sympy(c) for c in hp.coeffs] for hp in cons]
-    M = sp.Matrix(rows)
+_S = sp.symbols("s1 s2 s3")
+
+
+def _design_reduction(design):
+    """The reduced system of a design.  Types 1/2 take the preferred pivots,
+    which leave the platform direction x1, x2, x3 free; Type 5 solves for
+    x3, which its angle condition pins, and keeps x1, x2 and one y free."""
+    rows = [[exactify(c) for c in hp.coeffs] for hp in design.constraints()]
     if design.type in (1, 2):
-        piv = [0, 5, 6, 7, 8]            # n0, y0, y1, y2, y3
-        free = [2, 3, 4]                 # x1, x2, x3
-    else:
-        piv = [0, 4, 6, 7, 8] if design.m5[2] != 0 else [0, 4, 5, 6, 7]
-        free = [c for c in (2, 3, 5, 8) if c not in piv][:3]
-        # type 5: x3 is pinned by the angle condition, so solve for it
-    fsyms = sp.symbols("s1 s2 s3")
-    coords = [sp.Integer(0)] * 9
-    coords[1] = sp.Integer(1)            # x0 = 1 chart
-    for c, s in zip(free, fsyms):
-        coords[c] = s
-    A = M[:, piv]
-    rhs = -sum((M[:, c] * coords[c] for c in free + [1]), sp.zeros(5, 1))
-    sol = A.LUsolve(rhs)
-    for k, c in enumerate(piv):
-        coords[c] = sp.expand(sol[k])
-    n0, x0, x1, x2, x3, y0, y1, y2, y3 = coords
-    Q1 = sp.expand(x1 * x1 + x2 * x2 + x3 * x3 - x0 * x0)
-    Q2 = sp.expand(y1 * y1 + y2 * y2 + y3 * y3 - 8 * x0 * n0)
-    Q3 = sp.expand(x1 * y1 + x2 * y2 + x3 * y3 - x0 * y0)
-    return coords, (Q1, Q2, Q3), fsyms, free
+        return Reduction(rows, choose_pivots(rows))
+    return Reduction(rows, (0, 4, 6, 7, 8) if design.m5[2] != 0
+                     else (0, 4, 5, 6, 7))
+
+
+def _float_coeffs(p: sp.Poly):
+    return np.array([complex(c).real for c in p.all_coeffs()])
 
 
 def _trace_type12(design, samples, tol):
-    coords, (Q1, Q2, Q3), (s1, s2, s3), free = _reduced_quadrics(design)
+    red = _design_reduction(design)
+    Q1, Q2, Q3 = red.quadrics(_S)
+    s1, s2, s3 = _S
     # s1, s2, s3 = x1, x2, x3; parameter t = x3, branches in x2
     xi = [sp.expand(sp.resultant(Q2, Q3, s1)),
           sp.expand(sp.resultant(Q1, Q3, s1)),
@@ -498,68 +488,55 @@ def _trace_type12(design, samples, tol):
     if gp.degree() != 2:
         raise NotASelfMotionError(
             "the reduced system does not contain the two-branch curve")
-    c2, c1, c0 = [sp.expand(c) for c in gp.all_coeffs()]
-    disc = sp.expand(c1 * c1 - 4 * c2 * c0)
-    intervals = _real_intervals(disc, s3)
+    c2, c1, c0 = (sp.Poly(c, s3) for c in gp.all_coeffs())
+    disc = c1 * c1 - 4 * c2 * c0
+    intervals = _real_intervals(disc)
     if not intervals:
         return TraceResult((), False, (), "x3")
-    out = []
-    for (lo, hi) in intervals:
-        for t in np.linspace(lo, hi, max(2, samples)):
-            tq = sp.Rational(Fraction(float(t)))
-            c2v, c1v, c0v, dv = (complex(sp.N(e.subs(s3, tq), 25)).real
-                                 for e in (c2, c1, c0, disc))
-            if dv < 0 or c2v == 0:
-                continue
-            for sign, branch in ((1.0, "upper"), (-1.0, "lower")):
-                x2v = (-c1v + sign * math.sqrt(max(dv, 0.0))) / (2 * c2v)
-                smp = _complete_sample(design, coords, (s1, s2, s3),
-                                       x2v, float(t), tol)
-                if smp is not None:
-                    out.append(MotionCurveSample(float(t), smp, branch))
+    t = np.concatenate([np.linspace(lo, hi, max(2, samples))
+                        for lo, hi in intervals])
+    c2v, c1v, c0v, dv = (np.polyval(_float_coeffs(p), t)
+                         for p in (c2, c1, c0, disc))
+    keep = (dv >= 0) & (c2v != 0)
+    root = np.sqrt(np.maximum(dv, 0.0))
+    den = np.where(keep, 2 * c2v, 1.0)
+    branches = [(branch, _complete_samples(red, (-c1v + sign * root) / den,
+                                           t, tol))
+                for sign, branch in ((1.0, "upper"), (-1.0, "lower"))]
+    out = [MotionCurveSample(float(t[i]), MotionParams(*m[:, i].tolist()),
+                             branch)
+           for i in np.flatnonzero(keep)
+           for branch, (m, ok) in branches if ok[i]]
     return TraceResult(tuple(out), bool(out), tuple(intervals), "x3")
 
 
-def _complete_sample(design, coords, syms, x2v, tv, tol):
-    """Solve for x1 given (x2, x3) and build the full motion parameters."""
-    s1, s2, s3 = syms
-    rad = 1.0 - x2v * x2v - tv * tv
-    if rad < -tol:
-        return None
-    rad = max(rad, 0.0)
-    best = None
-    for x1v in (math.sqrt(rad), -math.sqrt(rad)):
-        subs = {s1: x1v, s2: x2v, s3: tv}
-        vals = [complex(sp.N(c.subs(subs), 20)) for c in coords]
-        m = MotionParams(*[v.real for v in vals])
-        res = [abs(r) for r in phi_residuals(m)]
-        err = max(res)
-        if err <= tol * 10 and (best is None or err < best[0]):
-            best = (err, m)
-    return best[1] if best else None
+def _complete_samples(red, x2, x3, tol):
+    """Solve x1^2 + x2^2 + x3^2 = 1 for x1 at every sample and build the
+    motion parameters (9 x N).  Of the two signs of x1 the one with the
+    smaller quadric residual is kept; the mask marks samples where one
+    passes."""
+    rad = 1.0 - x2 * x2 - x3 * x3
+    x1 = np.sqrt(np.maximum(rad, 0.0))
+    cands = [(red.Tn @ np.array([np.ones_like(x3), sign * x1, x2, x3])).real
+             for sign in (1.0, -1.0)]
+    errs = [np.abs(phi_residuals(m)).max(axis=0) for m in cands]
+    ok = [(err <= tol * 10) & (rad >= -tol) for err in errs]
+    minus = ok[1] & (~ok[0] | (errs[1] < errs[0]))
+    return np.where(minus, cands[1], cands[0]), ok[0] | ok[1]
 
 
-def _real_intervals(disc_expr, t_sym):
-    """Intervals where the branch discriminant is nonnegative."""
+def _real_intervals(disc: sp.Poly):
+    """Intervals where the branch discriminant is nonnegative.  A constant
+    discriminant gives [-1, 1] when nonnegative; it is identically zero
+    when the two branches coincide."""
     from .polyalg import real_roots
-    p = sp.Poly(sp.expand(disc_expr), t_sym)
-    if p.degree() == 0:
-        return [(-1.0, 1.0)] if p.all_coeffs()[0] >= 0 else []
-    rts = [r for r, _ in real_roots(p)]
-    rts.sort()
+    if disc.degree() <= 0:
+        return [(-1.0, 1.0)] if disc.LC() >= 0 else []
+    rts = sorted(r for r, _ in real_roots(disc))
     bounds = [rts[0] - 1.0] + rts + [rts[-1] + 1.0] if rts else [-1.0, 1.0]
-    out = []
-    f = sp.lambdify(t_sym, disc_expr, "math")
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            # clip unbounded outer cells to the sampled roots
-            out.append((lo if lo in rts else lo, hi if hi in rts else hi))
-    # merge: keep only cells between consecutive roots plus finite padding
-    cells = []
-    for lo, hi in out:
-        cells.append((float(lo), float(hi)))
-    return _merge_cells(cells)
+    coeffs = _float_coeffs(disc)
+    return _merge_cells([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+                         if np.polyval(coeffs, 0.5 * (lo + hi)) >= 0])
 
 
 def _merge_cells(cells):
@@ -576,8 +553,7 @@ def _merge_cells(cells):
 
 
 def _trace_type5(design, samples, tol):
-    coords, (Q1, Q2, Q3), fsyms, free = _reduced_quadrics(design)
-    s1, s2, s3 = fsyms
+    red = _design_reduction(design)
     # free coordinates: x1, x2 and one leftover y; the platform direction
     # circle is x1^2 + x2^2 = 1 - w^2
     w = to_float(design.w)
@@ -585,39 +561,42 @@ def _trace_type5(design, samples, tol):
     if rad2 <= tol:
         return TraceResult((), False, (), "x1")
     lim = math.sqrt(rad2)
-    out = []
-    for t in np.linspace(-lim, lim, max(2, samples)):
-        x2abs = math.sqrt(max(rad2 - t * t, 0.0))
-        for sx, tagx in ((x2abs, "a"), (-x2abs, "b")):
-            sols = _solve_leftover(design, coords, fsyms, float(t), sx, Q1, Q2, Q3, tol)
-            for k, m in enumerate(sols):
-                out.append(MotionCurveSample(float(t), m, f"{tagx}{k}"))
+    t = np.linspace(-lim, lim, max(2, samples))
+    x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
+    tagged = [(tagx, _solve_leftover(red, t, sx, tol))
+              for sx, tagx in ((x2abs, "a"), (-x2abs, "b"))]
+    out = [MotionCurveSample(float(t[i]), m, f"{tagx}{k}")
+           for i in range(len(t)) for tagx, sols in tagged
+           for k, m in enumerate(sols[i])]
     return TraceResult(tuple(out), bool(out), ((-lim, lim),), "x1")
 
 
-def _solve_leftover(design, coords, fsyms, x1v, x2v, Q1, Q2, Q3, tol):
-    s1, s2, s3 = fsyms
-    sols = []
-    # the leftover symbol s3 appears in the quadrics; solve the first that
-    # contains it and filter on the rest
-    target = next((Q for Q in (Q2, Q3, Q1) if Q.has(s3)), None)
-    if target is None:
-        return sols
-    pol = sp.Poly(sp.expand(target.subs({s1: sp.Float(x1v, 20),
-                                         s2: sp.Float(x2v, 20)})), s3)
-    if pol.degree() < 1:
-        return sols
-    roots = np.roots([complex(c) for c in pol.all_coeffs()])
-    for r in roots:
-        if abs(r.imag) > 1e-8 * (1 + abs(r)):
-            continue
-        subs = {s1: x1v, s2: x2v, s3: float(r.real)}
-        vals = [complex(sp.N(c.subs(subs), 20)) for c in coords]
-        m = MotionParams(*[v.real for v in vals])
-        res = [abs(x) for x in phi_residuals(m)]
-        if max(res) <= max(tol * 100, 1e-7):
-            sols.append(m)
-    return sols
+def _solve_leftover(red, x1, x2, tol):
+    """Per sample (x1, x2), the configurations over the leftover free
+    coordinate s3.  On the line P + s3 D of coordinates, the first quadric
+    q that involves s3 (tried as Q2, Q3, Q1) is the quadratic
+    q(P) + s3 grad q(P).D + s3^2 q(D); its real roots are filtered on all
+    three quadrics."""
+    quads = red.quadrics(_S)
+    k = next((k for k in (1, 2, 0) if quads[k].has(_S[2])), None)
+    if k is None:
+        return [[] for _ in x1]
+    P = (red.Tn @ np.array([np.ones_like(x1), x1, x2, np.zeros_like(x1)])).real
+    D = red.Tn[:, 3].real
+    a = complex(phi_residuals([row[3] for row in red.T])[k])
+    b = sum((g * d for g, d in zip(phi_gradient(P)[k], D)), np.zeros_like(x1))
+    c = phi_residuals(P)[k]
+    out = []
+    for i in range(len(x1)):
+        sols = []
+        for r in np.roots(np.array([a, b[i], c[i]], dtype=complex)):
+            if abs(r.imag) > 1e-8 * (1 + abs(r)):
+                continue
+            m = P[:, i] + r.real * D
+            if np.abs(phi_residuals(m)).max() <= max(tol * 100, 1e-7):
+                sols.append(MotionParams(*m.tolist()))
+        out.append(sols)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +650,7 @@ def _match_sphere(rows, a, pick=None):
     one = GaussRat(1)
     cols = []
     for k in range(5):
-        cols.append([_g(rows[k][j]) for j in range(9)])
+        cols.append([_as_gauss(rows[k][j]) for j in range(9)])
     # unknown order: mu1..mu5, A, B, C
     eq_rows = []
     rhs = []
@@ -698,7 +677,7 @@ def _match_sphere(rows, a, pick=None):
     if sol[1]:
         if pick is None or len(sol[1]) != 1:
             return None
-        vec = [p_ + _g(pick) * b for p_, b in zip(sol[0], sol[1][0])]
+        vec = [p_ + _as_gauss(pick) * b for p_, b in zip(sol[0], sol[1][0])]
     else:
         vec = sol[0]
     mus = vec[:5]
@@ -707,11 +686,6 @@ def _match_sphere(rows, a, pick=None):
     # x0 coefficient: sum mu c1 = (a^2 + |M|^2 - r2) / 2
     r2 = GaussRat(a) * GaussRat(a) + A * A + B * B + C * C - 2 * x0sum
     return (A, B, C), r2
-
-
-def _g(x) -> GaussRat:
-    e = exactify(x)
-    return e if isinstance(e, GaussRat) else GaussRat(e)
 
 
 def canonical_pentapod(design: SelfMotionDesign, a_values) -> Pentapod:

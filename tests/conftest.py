@@ -35,6 +35,18 @@ def random_member(rng, planar=False):
         return p
 
 
+@pytest.fixture(autouse=True)
+def mpmath_precision_unchanged():
+    """Fail any test after which mpmath's process-wide working precision
+    differs from its value before the test."""
+    import mpmath
+    before = mpmath.mp.dps
+    yield
+    after = mpmath.mp.dps
+    mpmath.mp.dps = before
+    assert after == before, f"mpmath.mp.dps changed from {before} to {after}"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

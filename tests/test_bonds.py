@@ -4,8 +4,9 @@ import pytest
 
 from conftest import random_member
 from helpers import (ar_planar_pentapod, cylinder_only_constraints,
-                     finite_vertex_pentapod, ideal_vertex_pentapod,
-                     type3_pentapod, type4_pentapod)
+                     cylinder_only_pentapod, finite_vertex_pentapod,
+                     ideal_vertex_pentapod, type3_pentapod, type4_pentapod,
+                     type5_parallel_lines_pentapod)
 from pentakin.bonds import (Bond, BondError, DependentConstraintsError,
                             constraints_of, find_bonds, necessity_verdict,
                             phi_gradient_rank, tangency_rank)
@@ -123,6 +124,15 @@ class TestNecessityVerdict:
         assert v.has_bond and v.tangency_rank_deficient
         assert v.jacobian_rank == 7
         assert all(b.multiplicity >= 2 for b in v.bonds)
+
+    def test_simple_bonds(self):
+        # full tangency rank: every bond is simple, also where a boundary
+        # conic does not involve the coordinate that the resultant removes
+        for p in (cylinder_only_pentapod(5), type5_parallel_lines_pentapod(),
+                  ideal_vertex_pentapod()):
+            v = necessity_verdict(p)
+            assert v.has_bond and v.jacobian_rank == 8
+            assert all(b.multiplicity == 1 for b in v.bonds)
 
     def test_perturbed_reference_loses_bond(self, type1_reference_pentapod):
         # breaking the concyclicity of the projections kills the bond

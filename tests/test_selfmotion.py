@@ -8,8 +8,8 @@ from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, stretched_fiber_pentapod,
                      type4_pentapod)
 from pentakin.archsing import WrongBranchError
-from pentakin.kinmap import Leg, Pentapod, displacement
-from pentakin.polyalg import GaussRat, to_float
+from pentakin.kinmap import Leg, Pentapod, displacement, phi_residuals
+from pentakin.polyalg import GaussRat, exactify, to_float
 from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  LegGenerationError, NotASelfMotionError,
                                  Reality, circular_translation_check,
@@ -113,6 +113,16 @@ class TestDuporcq:
         with pytest.raises(Exception):
             duporcq_check(type4_pentapod())
 
+    def test_numeric_level_keeps_mpmath_precision(self):
+        import mpmath
+        import sympy as sp
+        from pentakin.rearrange import A_SYM as a
+        from pentakin.selfmotion import _duporcq_numeric
+        before = mpmath.mp.dps
+        # irreducible cubic: one real and two complex ideal points
+        _duporcq_numeric(a ** 3 - 2, (a, a * a, sp.Integer(1)))
+        assert mpmath.mp.dps == before
+
 
 class TestReality:
 
@@ -204,13 +214,30 @@ class TestTrace:
         # the pairwise eliminations of the reduced quadrics are quartic in
         # the remaining coordinates and only quadratic in the branch one
         import sympy as sp
-        from pentakin.selfmotion import _reduced_quadrics
-        coords, (Q1, Q2, Q3), (s1, s2, s3), _ = _reduced_quadrics(
-            type1_reference_design)
+        from pentakin.reduced import Reduction, choose_pivots
+        rows = [[exactify(c) for c in hp.coeffs]
+                for hp in type1_reference_design.constraints()]
+        s1, s2, s3 = sp.symbols("s1 s2 s3")
+        Q1, Q2, Q3 = Reduction(rows, choose_pivots(rows)).quadrics(
+            (s1, s2, s3))
         for A, B in ((Q1, Q3), (Q2, Q3), (Q1, Q2)):
             xi = sp.expand(sp.resultant(A, B, s1))
             assert sp.Poly(xi, s2, s3).total_degree() <= 4
             assert sp.Poly(xi, s2).degree() <= 2
+
+    def test_coinciding_branches(self):
+        # the branch discriminant vanishes identically: both branches of
+        # x2 coincide over the whole range of x3
+        d = synth_leg_params(1, a2=GaussRat(0, F(-1, 4)), a4=0,
+                             m5=(F(-3, 2), 0, 0), r1sq=F(8, 3))
+        tr = trace(d, samples=200)
+        assert tr.is_real and tr.intervals == ((-1.0, 1.0),)
+        for s in tr.samples:
+            m = s.params
+            assert max(abs(r) for r in phi_residuals(m)) <= 1e-12
+            for hp in d.constraints():
+                val = sum(complex(c) * v for c, v in zip(hp.coeffs, m.coords()))
+                assert abs(val) <= 1e-12
 
     def test_invalid_design_rejected(self, type1_reference_design):
         d = type1_reference_design
