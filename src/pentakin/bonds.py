@@ -8,6 +8,7 @@ tangency Jacobian at a bond is the second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ import sympy as sp
 
 from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
                      phi_gradient, sphere_condition)
-from .polyalg import GaussRat, exactify, is_exact, numeric_rank, to_complex
+from .polyalg import (GaussRat, exactify, is_exact, numeric_rank, to_complex,
+                      to_sympy)
 from .reduced import Reduction, choose_pivots
 
 _FREE_SYMS = sp.symbols("u v w")
@@ -75,168 +77,276 @@ def find_bonds(constraints, tol: float = 1e-9,
     if pivots is None:
         raise DependentConstraintsError(
             "constraint hyperplanes are linearly dependent")
-    bonds = _find_bonds_with_pivots(rows, pivots)
+    bonds = _find_bonds_with_pivots(rows, pivots, tol)
     if cross_check:
         alt = choose_pivots(rows, skip=pivots)
-        if alt is not None:
-            other = _find_bonds_with_pivots(rows, alt)
-            if _bond_keys(other) != _bond_keys(bonds):
-                raise BondError(
-                    "bond set depends on the pivot choice; the system is "
-                    "numerically degenerate")
+        if alt is not None and not _same_bonds(
+                bonds, _find_bonds_with_pivots(rows, alt, tol)):
+            raise BondError(
+                "bond set depends on the pivot choice; the system is "
+                "numerically degenerate")
     return _pair_conjugates(bonds)
 
 
-def _find_bonds_with_pivots(rows, pivots):
-    coords = Reduction(rows, pivots).coords(_FREE_SYMS, x0=0)
-    quads = [sp.expand(g) for g in gamma_residuals(coords)]
-    solutions = _solve_conic_system([q for q in quads if q != 0])
+def _find_bonds_with_pivots(rows, pivots, tol):
+    red = Reduction(rows, pivots)
+    conics = [q for q in _boundary_conics(red.T) if any(q)]
     bonds = []
-    for sol, mult in solutions:
-        full = _reconstruct(coords, sol)
-        if full is None:
-            continue
-        bonds.append((full, mult))
+    for point, mult in _solve_conic_system(conics, tol):
+        if all(map(is_exact, point)):
+            vals = [sum(t * c for t, c in zip(row[1:], point))
+                    for row in red.T]
+        else:
+            vals = (red.Tn[:, 1:] @ np.array([to_complex(c) for c in point])
+                    ).tolist()
+        if any(vals):
+            bonds.append((vals, mult))
     return _normalize_and_dedupe(bonds)
 
 
-def _bond_keys(entries):
-    keys = []
-    for mp_, _, _ in entries:
-        vals = [to_complex(c) for c in mp_.coords()]
-        lead = next(v for v in vals if abs(v) > 1e-12)
-        keys.append(tuple(
-            complex(round((v / lead).real, 7), round((v / lead).imag, 7))
-            for v in vals))
-    return sorted(map(str, keys))
+def _same_bonds(one, other) -> bool:
+    """Pivot-independence test of two bond lists: equal exact coordinates
+    when both lists are exact, otherwise a one-to-one projective match
+    within the scale-aware tolerance of `_proj_same`."""
+    if len(one) != len(other):
+        return False
+    if all(e for _, _, e in one + other):
+        return ({m.coords() for m, _, _ in one}
+                == {m.coords() for m, _, _ in other})
+    rest = [m for m, _, _ in other]
+    for m, _, _ in one:
+        j = next((j for j, m2 in enumerate(rest) if _proj_same(m, m2)), None)
+        if j is None:
+            return False
+        del rest[j]
+    return True
 
 
-def _solve_conic_system(quads):
-    """Common projective zeros of homogeneous quadrics in (u, v, w).
+# A boundary conic is the tuple of its exact coefficients on these
+# monomials, given as exponents of the free coordinates (u, v, w).
+_MONOMIALS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
 
-    Returns [(solution dict, multiplicity estimate)].  Raises
+
+def _boundary_conics(T):
+    """The boundary quadrics on the plane x0 = 0, gamma_k(T . (0, u, v, w)),
+    as coefficient tuples over _MONOMIALS: read off exactly from the
+    quadrics at the three free basis vectors and at their pairwise sums."""
+    eu, ev, ew = ([row[j] for row in T] for j in (1, 2, 3))
+
+    def at(*vs):
+        return gamma_residuals([sum(c) for c in zip(*vs)])
+
+    qu, qv, qw = at(eu), at(ev), at(ew)
+    return [(a, ab - a - b, b, ac - a - c, bc - b - c, c)
+            for a, b, c, ab, ac, bc in zip(qu, qv, qw, at(eu, ev), at(eu, ew),
+                                           at(ev, ew))]
+
+
+def _conic_poly(q, gens):
+    """The conic as an sp.Poly in `gens`: (u, v, w) in any order, or (u, v)
+    for a conic free of w."""
+    order = [_FREE_SYMS.index(g) for g in gens]
+    return sp.Poly.from_dict(
+        {tuple(mono[i] for i in order): to_sympy(c)
+         for mono, c in zip(_MONOMIALS, q) if c}, *gens)
+
+
+def _solve_conic_system(conics, tol):
+    """Common projective zeros (u : v : w) of the nonzero boundary conics.
+
+    Returns [(point, multiplicity estimate)]; a point's coordinates are
+    Fractions/GaussRats when exact, complex otherwise.  Raises
     DegenerateBondSystemError when the common zero set has positive
     dimension.
     """
     u, v, w = _FREE_SYMS
-    if not quads:
+    if not conics:
         raise DegenerateBondSystemError(
             "all boundary quadrics vanish identically on the solution plane")
-    base = quads[0]
-    partner = next((q for q in quads[1:] if sp.simplify(
-        base * sp.Poly(q, u, v, w).LC() - q * sp.Poly(base, u, v, w).LC()) != 0), None)
+    base = conics[0]
+    lead = next(i for i, c in enumerate(base) if c)
+    # exact cross-multiplication: q is a multiple of base iff
+    # base * q[lead] - q * base[lead] vanishes coefficientwise
+    partner = next((q for q in conics[1:]
+                    if any(b * q[lead] - c * base[lead]
+                           for b, c in zip(base, q))), None)
     if partner is None:
         raise DegenerateBondSystemError(
             "boundary quadrics cut out a conic of bonds")
     # a conic free of w is itself the binary form of the candidates; the
     # resultant would raise the order of its roots to the other's w-degree
-    res = next((q for q in (base, partner) if not q.has(w)), None)
-    if res is None:
-        res = sp.expand(sp.resultant(base, partner, w))
-    if res == 0:
+    free = next((q for q in (base, partner) if not any(q[3:])), None)
+    if free is not None:
+        res = _conic_poly(free, (u, v))
+    else:
+        res = _conic_poly(base, (w, u, v)).resultant(
+            _conic_poly(partner, (w, u, v)))
+    if res.is_zero:
         raise DegenerateBondSystemError(
             "two boundary quadrics share a common component")
-    candidates = _binary_roots(res, u, v)
     sols = []
-    for (u0, v0), mult in candidates:
-        wvals = _solve_for_w(quads, u0, v0)
+    for (u0, v0), mult in _binary_roots(res):
+        wvals = _solve_for_w(conics, u0, v0)
         if wvals is None:
             raise DegenerateBondSystemError(
                 "a whole line of bonds exists in the boundary")
         for w0 in wvals:
-            if _check_all(quads, u0, v0, w0):
-                sols.append(({u: u0, v: v0, w: w0}, mult))
+            if _check_all(conics, (u0, v0, w0), tol):
+                sols.append(((u0, v0, w0), mult))
     # the point (0 : 0 : 1) escapes the (u, v) resultant
-    if _check_all(quads, sp.Integer(0), sp.Integer(0), sp.Integer(1)):
-        sols.append(({u: sp.Integer(0), v: sp.Integer(0), w: sp.Integer(1)}, 1))
+    point = (Fraction(0), Fraction(0), Fraction(1))
+    if _check_all(conics, point, tol):
+        sols.append((point, 1))
     return sols
 
 
-def _binary_roots(form, u, v):
-    """Projective roots (u0 : v0) of a binary form, with multiplicities.
-
-    Factors of degree <= 2 over the Gaussian rationals give exact roots;
-    higher-degree irreducible factors fall back to numeric roots.
-    """
+def _binary_roots(form: sp.Poly):
+    """Projective roots (u0 : v0) of a binary form in (u, v), with
+    multiplicities: exact for the roots in QQ(i), complex otherwise."""
+    total = form.total_degree()
+    coeffs = form.as_dict()
+    dehom = sp.Poly([coeffs.get((i, total - i), 0)
+                     for i in range(total, -1, -1)], _FREE_SYMS[0])
     out = []
-    total = sp.Poly(form, u, v).total_degree()
-    dehom = sp.Poly(form.subs(v, 1), u)
     if dehom.degree() < total:
         # root at (1 : 0): the form is divisible by v
-        out.append(((sp.Integer(1), sp.Integer(0)), total - dehom.degree()))
-    try:
-        factors = sp.factor_list(dehom.as_expr(), gaussian=True)[1]
-    except sp.PolynomialError:
-        factors = [(dehom.as_expr(), 1)]
-    for fct, mult in factors:
-        fp = sp.Poly(fct, u)
-        if fp.degree() == 0:
-            continue
-        if fp.degree() <= 2:
-            for r, m in sp.roots(fp, u).items():
-                out.append(((r, sp.Integer(1)), m * mult))
+        out.append(((Fraction(1), Fraction(0)), total - dehom.degree()))
+    return out + [((r, Fraction(1)), m) for r, m in _roots(dehom)]
+
+
+def _roots(poly: sp.Poly):
+    """Roots of a univariate polynomial over QQ or QQ(i) with their
+    multiplicities, from its factorisation: exact Fractions / GaussRats for
+    the roots in QQ(i), then complex floats from the companion matrix for
+    the other factors."""
+    if not (poly.domain.is_ZZ or poly.domain.is_QQ):
+        poly = poly.set_domain(sp.QQ_I)
+    exact, numeric = [], []
+    for fct, mult in poly.factor_list()[1]:
+        coeffs = [exactify(c) for c in fct.all_coeffs()]
+        rts = _small_roots(coeffs)
+        if rts is None:
+            numeric += [(r, mult) for r in np.roots(
+                [to_complex(c) for c in coeffs]).tolist()]
         else:
-            for r in np.roots([complex(c) for c in fp.all_coeffs()]):
-                out.append(((sp.Float(r.real, 17) + sp.I * sp.Float(r.imag, 17),
-                             sp.Integer(1)), mult))
-    return out
+            exact += [(r, mult) for r in rts]
+    # sympy's order of the linear factors u - r over QQ(i), which fixes the
+    # order of the bonds: by multiplicity, then by the imaginary and the
+    # real part of -r
+    def sympy_order(root_mult):
+        z = GaussRat(0) + root_mult[0]
+        return root_mult[1], -z.im, -z.re
+
+    return sorted(exact, key=sympy_order) + numeric
 
 
-def _solve_for_w(quads, u0, v0):
-    u, v, w = _FREE_SYMS
-    exact_pt = _is_gauss_rational(u0) and _is_gauss_rational(v0)
+def _small_roots(coeffs):
+    """The distinct roots of a linear or quadratic polynomial with exact
+    coefficients (highest degree first) when they lie in QQ(i); None when
+    they do not, or when the degree is higher."""
+    if len(coeffs) == 2:
+        return [_demote(-coeffs[1] / coeffs[0])]
+    if len(coeffs) != 3:
+        return None
+    a, b, c = coeffs
+    s = _gauss_sqrt(b * b - 4 * a * c)
+    if s is None:
+        return None
+    # sympy's order: (-b - s) / 2a first, unless a is a negative rational
+    a = _demote(a)
+    signs = (1, -1) if not isinstance(a, GaussRat) and a < 0 else (-1, 1)
+    return list(dict.fromkeys(_demote((-b + e * s) / (2 * a)) for e in signs))
+
+
+def _gauss_sqrt(z):
+    """An exact square root of a Gaussian rational, or None outside QQ(i).
+
+    With z = p + qi and |z| = r, a root x + yi has x^2 = (p + r) / 2 and
+    2xy = q, or y^2 = -p when x = 0."""
+    p, q = (z.re, z.im) if isinstance(z, GaussRat) else (Fraction(z), 0)
+    r = _rat_sqrt(p * p + q * q)
+    x = None if r is None else _rat_sqrt((p + r) / 2)
+    if x is None:
+        return None
+    if x:
+        return GaussRat(x, q / (2 * x))
+    y = _rat_sqrt(-p)
+    return None if y is None else GaussRat(0, y)
+
+
+def _rat_sqrt(f: Fraction):
+    n, d = f.numerator, f.denominator
+    if n < 0:
+        return None
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
+
+
+def _demote(z):
+    return z.re if isinstance(z, GaussRat) and z.im == 0 else z
+
+
+def _solve_for_w(conics, u0, v0):
+    """Candidate w for the point (u0 : v0 : w): the roots of the first conic
+    that involves w there, exact when they lie in QQ(i).  None when every
+    conic vanishes on the line through (u0 : v0 : 0) and (0 : 0 : 1)."""
+    exact = is_exact(u0)
+    if not exact:
+        conics, u0, v0 = _numeric(conics), to_complex(u0), to_complex(v0)
     polys = []
-    for q in quads:
-        e = sp.expand(q.subs({u: u0, v: v0}))
-        if not exact_pt and e != 0 and not e.has(w):
-            e = sp.Integer(0) if abs(to_complex(sp.N(e, 25))) < 1e-10 else e
-        polys.append(e)
-    nonzero = [e for e in polys if e != 0]
-    if not nonzero:
+    for A, B, C in (_in_w(q, u0, v0) for q in conics):
+        if not exact and not (A or B) and abs(C) < 1e-10:
+            C = 0
+        polys.append((A, B, C))
+    if not any(any(p) for p in polys):
         return None  # whole line solves the system
-    first = next((e for e in nonzero if e.has(w)), None)
+    first = next((p for p in polys if p[0] or p[1]), None)
     if first is None:
         return []   # contradiction: constant nonzero
-    fp = sp.Poly(first, w)
-    if exact_pt and fp.degree() <= 2:
-        return list(sp.roots(fp, w))
-    return [sp.Float(r.real, 17) + sp.I * sp.Float(r.imag, 17)
-            for r in np.roots([complex(sp.N(c, 25)) for c in fp.all_coeffs()])]
+    coeffs = list(first[1:] if not first[0] else first)
+    rts = _small_roots(coeffs) if exact else None
+    if rts is None:
+        rts = np.roots([to_complex(c) for c in coeffs]).tolist()
+    return rts
 
 
-def _check_all(quads, u0, v0, w0, tol: float = 1e-9):
-    u, v, w = _FREE_SYMS
-    subs = {u: u0, v: v0, w: w0}
-    scale = 1 + max(abs(to_complex(sp.N(s))) for s in (u0, v0, w0)) ** 2
-    for q in quads:
-        val = sp.expand(q.subs(subs))
-        if val == 0:
-            continue
-        if abs(to_complex(sp.N(val, 30))) > tol * scale:
-            return False
-    return True
+def _in_w(q, u, v):
+    """The conic on the line through (u : v : 0) and (0 : 0 : 1): the
+    coefficients (A, B, C) of A w^2 + B w + C."""
+    uu, uv, vv, uw, vw, ww = q
+    return ww, uw * u + vw * v, uu * u * u + uv * u * v + vv * v * v
 
 
-def _reconstruct(coords, sol):
-    vals = [sp.expand(c.subs(sol)) for c in coords]
-    if all(v == 0 for v in vals):
-        return None
-    return vals
+def _check_all(conics, point, tol):
+    """Whether every conic vanishes at the point: exactly for an exact
+    point, else within tol relative to the point's squared size."""
+    exact = all(map(is_exact, point))
+    if not exact:
+        conics, point = _numeric(conics), [to_complex(c) for c in point]
+    u, v, w = point
+    vals = [(A * w + B) * w + C for A, B, C in (_in_w(q, u, v) for q in conics)]
+    if exact:
+        return not any(vals)
+    scale = 1 + max(abs(c) for c in point) ** 2
+    return all(abs(val) <= tol * scale for val in vals)
+
+
+def _numeric(conics):
+    return [tuple(map(to_complex, q)) for q in conics]
 
 
 def _normalize_and_dedupe(bonds):
+    """Scale each bond so that its first nonzero coordinate is 1 and merge
+    projective duplicates, keeping the higher multiplicity."""
     out = []
     for vals, mult in bonds:
-        lead = next((v for v in vals if v != 0), None)
-        scaled = [sp.expand(sp.cancel(v / lead)) for v in vals]
-        exact = all(_is_gauss_rational(v) for v in scaled)
-        if exact:
-            coords = [_to_scalar(v) for v in scaled]
-        else:
-            coords = [to_complex(sp.N(v, 20)) for v in scaled]
-        key = tuple(complex(round(z.real, 9), round(z.imag, 9))
-                    for z in (to_complex(sp.N(v, 20)) for v in scaled))
-        dup = next((i for i, (k, _, _) in enumerate(out) if _close(k, key)), None)
+        lead = next(v for v in vals if v)
+        exact = all(map(is_exact, vals))
+        coords = [_demote(v / lead) if exact else complex(v / lead)
+                  for v in vals]
+        key = [to_complex(c) for c in coords]
+        dup = next((i for i, (k, _, _) in enumerate(out) if _close(k, key)),
+                   None)
         if dup is None:
             out.append((key, MotionParams(*coords), (mult, exact)))
         else:
@@ -247,20 +357,6 @@ def _normalize_and_dedupe(bonds):
 
 def _close(k1, k2, tol=1e-8):
     return all(abs(a - b) <= tol * (1 + abs(a)) for a, b in zip(k1, k2))
-
-
-def _is_gauss_rational(v) -> bool:
-    if not v.is_number:
-        return False
-    re, im = v.as_real_imag()
-    return bool(re.is_rational and im.is_rational)
-
-
-def _to_scalar(v):
-    re, im = v.as_real_imag()
-    if im == 0:
-        return Fraction(int(re.p), int(re.q))
-    return GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
 def _pair_conjugates(entries):

@@ -192,7 +192,7 @@ def cmd_classify(args):
 def cmd_dk(args):
     p = load_geometry(args.geometry)
     lengths = _parse_list(args.lengths) if args.lengths else None
-    out = solve_dk(p, lengths=lengths)
+    out = solve_dk(p, lengths=lengths, tol=args.tol)
     poly = out.polynomial
     doc = {
         "variable": out.variable,
@@ -214,7 +214,7 @@ def cmd_dk(args):
 
 def cmd_bonds(args):
     p = load_geometry(args.geometry)
-    v = necessity_verdict(p)
+    v = necessity_verdict(p, tol=args.tol)
     doc = {"hasBond": v.has_bond,
            "tangencyRankDeficient": v.tangency_rank_deficient,
            "jacobianRank": v.jacobian_rank,
@@ -331,17 +331,26 @@ def _parse_complex(text):
 # entry point
 # ---------------------------------------------------------------------------
 
+# the subcommands whose numeric stages honour --tol
+_NUMERIC_COMMANDS = ("dk", "bonds", "trace")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pentakin",
         description="Analysis of pentapods with a linear platform")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp_):
+    def common(sp_, name):
         sp_.add_argument("--exact", action="store_true",
                          help="serialize rationals as p/q strings")
         sp_.add_argument("--out", help="write the report to a file")
-        sp_.add_argument("--tol", type=float, default=1e-9)
+        sp_.add_argument(
+            "--tol", type=float, default=1e-9,
+            help="tolerance of the numeric root and residual tests "
+                 "(default 1e-9)" if name in _NUMERIC_COMMANDS else
+                 "ignored: validate, classify and synth are exact, and "
+                 "maxreal keeps the default 1e-9")
 
     for name, fn, needs_geom in (
             ("classify", cmd_classify, True),
@@ -352,7 +361,7 @@ def build_parser():
             ("synth", cmd_synth, False),
             ("trace", cmd_trace, False)):
         sp_ = sub.add_parser(name)
-        common(sp_)
+        common(sp_, name)
         if needs_geom:
             sp_.add_argument("geometry", help="geometry JSON file")
         sp_.set_defaults(fn=fn)

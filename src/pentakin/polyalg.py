@@ -173,8 +173,9 @@ def exactify(x) -> Fraction | GaussRat:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, sp.Expr):
-        z = sp.nsimplify(x, rational=False)
-        re, im = z.as_real_imag()
+        re, im = x.as_real_imag()
+        if not (re.is_Rational and im.is_Rational):
+            re, im = sp.nsimplify(x, rational=False).as_real_imag()
         if not (re.is_rational and im.is_rational):
             raise PolyalgError(f"not a Gaussian rational: {x}")
         if im == 0:

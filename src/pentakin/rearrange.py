@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import sympy as sp
 
 from .archsing import (WrongBranchError, classify_arch, planar_D,
@@ -290,8 +291,19 @@ def _exceptional_image(c, a_user, asys):
 
 @dataclass(frozen=True)
 class DarbouxPoint:
-    a: object          # platform coordinate (user frame, sympy expr)
-    direction: tuple   # ideal direction of the locus (sympy exprs)
+    """A platform point whose image is an ideal point of the base locus.
+
+    `a` is the user-frame platform coordinate as an exact sympy number: a
+    Rational for a rational root of d0/gcd, otherwise ``CRootOf(f, k) +
+    a_shift`` for the k-th root of an irreducible factor f of d0/gcd over
+    QQ.  `direction` is the ideal direction (d1 : d2 : d3) at the root:
+    Fractions for a rational root, complex floats otherwise.
+    `multiplicity` comes from the factorisation of d0/gcd and `is_real`
+    from the root isolation of CRootOf.
+    """
+
+    a: object
+    direction: tuple
     multiplicity: int
     is_real: bool
 
@@ -327,13 +339,12 @@ def classify_type(p: Pentapod) -> PentapodClass:
     if p.is_base_planar():
         return PentapodClass(kind="planar_pencil", vertex=planar_vertex(p))
     corr = replacement_cubic(p)
-    if corr.affine_relation:
+    kind = cubic_kind(corr)
+    if kind == "type5":
         return PentapodClass(
-            kind="type5", correspondence=corr,
+            kind=kind, correspondence=corr,
             darboux_points=_darboux_points(corr),
             ideal_element=_ideal_element(corr))
-    r = corr.gcd.degree()
-    kind = f"type{1 + r}"
     return PentapodClass(
         kind=kind, correspondence=corr,
         darboux_points=_darboux_points(corr),
@@ -341,20 +352,50 @@ def classify_type(p: Pentapod) -> PentapodClass:
         exceptional_points=_exceptional_points(corr))
 
 
+def cubic_kind(corr: CubicCorrespondence) -> str:
+    """Taxonomy type of a non-planar member from its correspondence alone:
+    Type 5 for the affine relation, else Type 1 + deg gcd."""
+    if corr.affine_relation:
+        return "type5"
+    return f"type{1 + corr.gcd.degree()}"
+
+
 def _darboux_points(corr: CubicCorrespondence):
-    """Platform points mapped to ideal points of the base locus: roots of
-    d0/gcd with their image directions."""
-    d0red = sp.Poly(sp.cancel(corr.d0.as_expr() / corr.gcd.as_expr()), A_SYM)
+    """Platform points mapped to ideal points of the base locus: the roots
+    of d0/gcd with their image directions.
+
+    Real points come first in ascending order, then the complex points by
+    real and imaginary part.  No radical is formed: the roots come from
+    the factorisation of d0/gcd over QQ and CRootOf isolation.
+    """
+    ds = (corr.d1, corr.d2, corr.d3)
     out = []
-    if d0red.degree() <= 0:
-        return tuple(out)
-    for root, mult in sp.roots(d0red, A_SYM).items():
-        direction = tuple(sp.simplify(d.as_expr().subs(A_SYM, root))
-                          for d in (corr.d1, corr.d2, corr.d3))
+    for root, mult in _exact_roots(corr.d0.exquo(corr.gcd)):
+        if isinstance(root, sp.Rational):
+            direction = tuple(exactify(d.eval(root)) for d in ds)
+        else:
+            z = complex(root)
+            direction = tuple(
+                complex(np.polyval([complex(c) for c in d.all_coeffs()], z))
+                for d in ds)
         out.append(DarbouxPoint(a=root + sp.Rational(corr.a_shift),
                                 direction=direction, multiplicity=mult,
                                 is_real=bool(root.is_real)))
-    return tuple(out)
+    return tuple(sorted(out, key=_root_order))
+
+
+def _exact_roots(poly: sp.Poly):
+    """Distinct roots of a polynomial over QQ with their multiplicities,
+    from its factorisation: a Rational for a linear factor, a CRootOf for
+    each root of an irreducible factor of higher degree."""
+    for fac, mult in poly.factor_list()[1]:
+        for root in fac.all_roots(radicals=False):
+            yield root, mult
+
+
+def _root_order(dp: DarbouxPoint):
+    z = complex(dp.a)
+    return (not dp.is_real, z.real, z.imag)
 
 
 def _mannheim_image(corr: CubicCorrespondence):
@@ -372,15 +413,12 @@ def _mannheim_image(corr: CubicCorrespondence):
 
 def _exceptional_points(corr: CubicCorrespondence):
     out = []
-    if corr.gcd.degree() <= 0:
-        return tuple(out)
-    for root, mult in sp.roots(corr.gcd, A_SYM).items():
-        if root.is_rational:
-            img = _exceptional_image(corr, root + sp.Rational(corr.a_shift),
-                                     sp.Rational(root))
+    for root, _ in _exact_roots(corr.gcd):
+        a_user = root + sp.Rational(corr.a_shift)
+        if isinstance(root, sp.Rational):
+            out.append(_exceptional_image(corr, a_user, root))
         else:
-            img = ExceptionalImage(root + sp.Rational(corr.a_shift), None, None)
-        out.append(img)
+            out.append(ExceptionalImage(a_user, None, None))
     return tuple(out)
 
 

@@ -23,8 +23,8 @@ from .geom import ProjPoint
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
                      phi_gradient, phi_residuals)
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
-from .rearrange import (CubicCorrespondence, PentapodClass, classify_type,
-                        require_member, A_SYM)
+from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
+                        require_member, A_SYM, _exceptional_points)
 from .reduced import Reduction, choose_pivots
 
 _I = GaussRat(0, 1)
@@ -228,18 +228,20 @@ def duporcq_check(p: Pentapod, tol: float = 1e-9) -> Duporcq:
     """Geometric levels of the replacement-locus condition for Types 1/2/5:
     FIRST_ONLY when the locus lies on a cylinder of revolution, FULL when
     it is a straight cubic circle (circle + orthogonal line for Type 2)."""
-    cls = classify_type(p)
-    if cls.kind == "type1":
-        return _duporcq_cubic(cls.correspondence, reduced=False)
-    if cls.kind == "type2":
-        return _duporcq_conic(cls)
-    if cls.kind == "type5":
-        return _duporcq_cubic(cls.correspondence, reduced=False)
+    require_member(p)
+    kind = "planar_pencil"
+    if not p.is_base_planar():
+        corr = replacement_cubic(p)
+        kind = cubic_kind(corr)
+        if kind in ("type1", "type5"):
+            return _duporcq_cubic(corr)
+        if kind == "type2":
+            return _duporcq_conic(corr)
     raise SelfMotionError(
-        f"Duporcq levels are defined for types 1, 2, 5; got {cls.kind}")
+        f"Duporcq levels are defined for types 1, 2, 5; got {kind}")
 
 
-def _duporcq_cubic(corr: CubicCorrespondence, reduced: bool) -> Duporcq:
+def _duporcq_cubic(corr: CubicCorrespondence) -> Duporcq:
     """Cubic locus: one real ideal direction W, conjugate complex ideal
     directions D.  FULL iff D.D = 0 and D.W = 0; FIRST iff
     (D.D)(W.W) = (D.W)^2."""
@@ -263,7 +265,8 @@ def _duporcq_cubic(corr: CubicCorrespondence, reduced: bool) -> Duporcq:
             q = quad[0].as_poly(a)
             if sp.discriminant(q.as_expr(), a) >= 0:
                 return Duporcq.NONE  # three real ideal points
-            r = sp.roots(lin[0].as_poly(a), a).popitem()[0]
+            c1, c0 = lin[0].as_poly(a).all_coeffs()
+            r = -c0 / c1
             W = tuple(sp.Rational(dk.subs(a, r)) for dk in (d1, d2, d3))
             if all(c == 0 for c in W):
                 return Duporcq.NONE
@@ -328,15 +331,14 @@ def _duporcq_numeric(d0, dk_exprs, tol: float = 1e-25) -> Duporcq:
         return Duporcq.NONE
 
 
-def _duporcq_conic(cls: PentapodClass) -> Duporcq:
+def _duporcq_conic(corr: CubicCorrespondence) -> Duporcq:
     """Type 2: conic on a cylinder of revolution with the exceptional line
     as a generator; FULL when the conic is a circle and the line is
     orthogonal to its plane."""
-    corr = cls.correspondence
     a = A_SYM
     red = corr.reduced_polys()
     e0, e1, e2, e3 = (q.as_expr() for q in red)
-    exc = cls.exceptional_points[0]
+    exc = _exceptional_points(corr)[0]
     if exc.direction is None:
         return Duporcq.NONE
     G = tuple(sp.Rational(c) for c in exc.direction)

@@ -68,6 +68,15 @@ def type5_parallel_lines_pentapod():
     return Pentapod(tuple(Leg(a, M) for a, M in legs))
 
 
+def three_real_darboux_pentapod():
+    """Generic non-planar Type 1 member whose d0/gcd is an irreducible cubic
+    with three real roots (the casus irreducibilis of Cardano's formula)."""
+    legs = [(-4, (F(-5, 4), 2, F(1, 2))), (1, (F(1, 2), 1, -2)),
+            (5, (1, -1, F(3, 2))), (-3, (0, F(-5, 3), F(4, 3))),
+            (-2, (F(-1, 2), F(5, 2), -1))]
+    return Pentapod(tuple(Leg(a, M) for a, M in legs))
+
+
 # ---------------------------------------------------------------------------
 # first-condition-only canonical systems (cylinder of revolution, not
 # straight): B2 = (A4 B4 + i sqrt(A4^2+B4^2+1)) / (A4^2+1) with

@@ -87,6 +87,82 @@ class TestFindBonds:
             assert find_bonds(constraints_of(random_member(rng))) == []
 
 
+class TestConicSystem:
+    """The exact kernel of find_bonds: boundary conics, their exact roots in
+    QQ(i), the numeric path for the other roots, and the comparison of the
+    bond sets of two pivot choices."""
+
+    def test_boundary_conics_match_expanded_quadrics(self):
+        import sympy as sp
+        from pentakin.bonds import _FREE_SYMS, _MONOMIALS, _boundary_conics
+        from pentakin.polyalg import exactify, to_sympy
+        from pentakin.reduced import Reduction, choose_pivots
+        for cons in (constraints_of(type5_parallel_lines_pentapod()),
+                     cylinder_only_constraints(1)):
+            rows = [[exactify(c) for c in hp.coeffs] for hp in cons]
+            red = Reduction(rows, choose_pivots(rows))
+            coords = red.coords(_FREE_SYMS, x0=0)
+            for q, g in zip(_boundary_conics(red.T), gamma_residuals(coords)):
+                poly = sp.Poly(sp.expand(g), *_FREE_SYMS)
+                assert [to_sympy(c) for c in q] == [
+                    poly.coeff_monomial(mono) for mono in _MONOMIALS]
+
+    def test_small_roots_exact_in_gaussian_field(self):
+        from pentakin.bonds import _small_roots
+        assert _small_roots([F(1), F(0), F(4)]) == [GaussRat(0, -2),
+                                                    GaussRat(0, 2)]
+        # (w - 1 - 2i)(w + 3) = w^2 + (2 - 2i) w - 3 - 6i
+        assert set(_small_roots([F(1), GaussRat(2, -2), GaussRat(-3, -6)])) \
+            == {GaussRat(1, 2), F(-3)}
+        assert _small_roots([F(2), F(-4), F(2)]) == [F(1)]   # double root
+        assert _small_roots([F(3), F(-1)]) == [F(1, 3)]
+        assert _small_roots([F(1), F(0), F(-2)]) is None     # sqrt 2
+        assert _small_roots([F(1), F(0), _I]) is None        # sqrt i
+        assert _small_roots([F(1), F(0), F(0), F(1)]) is None
+
+    def test_irrational_bonds_numeric(self):
+        # u^2 = 2 v^2, w^2 = 2 v^2, u w = 2 v^2: (+-sqrt 2 : 1 : +-sqrt 2)
+        from pentakin.bonds import _solve_conic_system
+        conics = [(F(1), 0, F(-2), 0, 0, 0), (0, 0, F(-2), 0, 0, F(1)),
+                  (0, 0, F(-2), F(1), 0, 0)]
+        sols = _solve_conic_system(conics, 1e-9)
+        assert len(sols) == 2
+        r = 2 ** 0.5
+        for (u, v, w), mult in sols:
+            assert mult == 1 and v == 1
+            assert abs(abs(u) - r) < 1e-14 and abs(u - w) < 1e-14
+
+    def test_degenerate_systems_rejected(self):
+        from pentakin.bonds import (DegenerateBondSystemError,
+                                    _solve_conic_system)
+        one = F(1)
+        for conics, reason in (
+                ([(one, 0, one, 0, 0, one), (2, 0, 2, 0, 0, 2)], "a conic"),
+                ([(0, one, 0, 0, 0, 0), (0, 0, 0, one, 0, 0)], "a whole line"),
+                ([(0, 0, 0, one, 0, 0), (0, 0, 0, 0, one, 0)],
+                 "common component")):
+            with pytest.raises(DegenerateBondSystemError, match=reason):
+                _solve_conic_system(conics, 1e-9)
+
+    def test_same_bonds(self):
+        from pentakin.bonds import _same_bonds
+        one = MotionParams(0, 0, F(1), _I, 0, GaussRat(-1, -1), F(-1), _I, 0)
+        two = MotionParams(0, 0, F(1), -_I, 0, GaussRat(-1, 1), F(-1), -_I, 0)
+        exact = [(one, 1, True), (two, 1, True)]
+        assert _same_bonds(exact, exact[::-1])
+        assert not _same_bonds(exact, exact[:1])
+        assert not _same_bonds(exact, [(one, 1, True), (one, 1, True)])
+
+        def numeric(scale, shift):
+            return [(MotionParams(*[scale * to_complex(c) + shift
+                                    for c in m.coords()]), 1, False)
+                    for m, _, _ in exact]
+
+        # a numeric list matches up to rounding at any scale, not beyond
+        assert _same_bonds(exact, numeric(1e6 * (1 + 1e-13), 0)[::-1])
+        assert not _same_bonds(exact, numeric(1, 1e-3))
+
+
 class TestTangencyRank:
 
     def test_reference_rank_seven(self, type1_reference_pentapod):

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from pentakin.cli import load_geometry, run_command
+import pentakin.cli as cli
+from helpers import ar_planar_pentapod, three_real_darboux_pentapod
+from pentakin.cli import build_parser, load_geometry, run_command
 
 REFERENCE_GEOMETRY = {
     "platform": ["0", "1", "3", "-1", "-2"],
@@ -133,3 +135,60 @@ class TestCommands:
         _, doc1 = run(capsys, "dk", geom_file, "--lengths", "2,1,5,3,4")
         _, doc2 = run(capsys, "dk", geom_file, "--lengths", "2,1,5,3,4")
         assert doc1 == doc2
+
+
+def _geometry_file(tmp_path, p, name):
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "platform": [str(leg.a) for leg in p.legs],
+        "base": [[str(c) for c in leg.base] for leg in p.legs]}))
+    return str(path)
+
+
+class TestReports:
+
+    def test_real_darboux_points_emitted_real(self, tmp_path, capsys):
+        path = _geometry_file(tmp_path, three_real_darboux_pentapod(),
+                              "generic.json")
+        code, doc = run(capsys, "classify", path)
+        assert code == 0 and doc["type"] == "Type1"
+        points = doc["darbouxPoints"]
+        assert len(points) == 3
+        assert all(dp["real"] is True and isinstance(dp["a"], float)
+                   for dp in points)
+        assert [dp["a"] for dp in points] == sorted(dp["a"] for dp in points)
+
+    def test_bond_multiplicity_is_integer(self, tmp_path, capsys):
+        path = _geometry_file(tmp_path, ar_planar_pentapod(), "ar.json")
+        code, doc = run(capsys, "bonds", path)
+        assert code == 0 and len(doc["bonds"]) == 2
+        assert all(type(b["multiplicity"]) is int for b in doc["bonds"])
+
+
+class TestTolerance:
+
+    def test_tol_reaches_dk_and_bonds(self, geom_file, capsys, monkeypatch):
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] = kwargs.get("tol")
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("solve_dk", cli.solve_dk)
+        spy("necessity_verdict", cli.necessity_verdict)
+        assert run(capsys, "dk", geom_file, "--lengths", "2,1,5,3,4",
+                   "--tol", "1e-7")[0] == 0
+        assert run(capsys, "bonds", geom_file, "--tol", "1e-7")[0] == 0
+        assert seen == {"solve_dk": 1e-7, "necessity_verdict": 1e-7}
+
+    def test_help_names_exact_commands(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command").choices
+        for name in ("validate", "classify", "maxreal", "synth"):
+            tol = next(a for a in sub[name]._actions if a.dest == "tol")
+            assert "ignored" in tol.help
+        for name in ("dk", "bonds", "trace"):
+            tol = next(a for a in sub[name]._actions if a.dest == "tol")
+            assert tol.default == 1e-9 and "ignored" not in tol.help

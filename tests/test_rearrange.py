@@ -6,8 +6,8 @@ import sympy as sp
 from conftest import random_member
 from helpers import (ar_planar_pentapod, cylinder_only_pentapod,
                      finite_vertex_pentapod, ideal_vertex_pentapod,
-                     type3_pentapod, type4_pentapod,
-                     type5_parallel_lines_pentapod)
+                     three_real_darboux_pentapod, type3_pentapod,
+                     type4_pentapod, type5_parallel_lines_pentapod)
 from pentakin.archsing import WrongBranchError
 from pentakin.geom import ProjPoint
 from pentakin.kinmap import Leg, Pentapod
@@ -245,6 +245,67 @@ class TestClassifyType:
                 except Exception:
                     continue
             assert classify_type(p).kind == "type1"
+
+
+class TestDarbouxPoints:
+
+    def test_casus_irreducibilis_points_are_real(self):
+        cls = classify_type(three_real_darboux_pentapod())
+        assert cls.kind == "type1"
+        corr = cls.correspondence
+        d0red = corr.d0.exquo(corr.gcd)
+        assert d0red.degree() == 3 and d0red.is_irreducible
+        assert d0red.count_roots() == 3      # Sturm count over the reals
+        assert len(cls.darboux_points) == 3
+        assert all(dp.is_real and dp.multiplicity == 1
+                   for dp in cls.darboux_points)
+        vals = [complex(dp.a) for dp in cls.darboux_points]
+        assert all(z.imag == 0 for z in vals)
+        assert [z.real for z in vals] == sorted(z.real for z in vals)
+        for z in vals:
+            assert abs(complex(d0red.eval(z.real - corr.a_shift))) <= 1e-9 * \
+                max(abs(int(c)) for c in d0red.all_coeffs())
+
+    def test_reference_points_exact(self, type1_reference_pentapod):
+        cls = classify_type(type1_reference_pentapod)
+        real, *cplx = cls.darboux_points
+        assert real.a == 2 and isinstance(real.a, sp.Rational)
+        # the real ideal direction of the locus is the z-axis
+        assert real.direction[:2] == (0, 0) and real.direction[2] != 0
+        assert all(isinstance(c, F) for c in real.direction)
+        assert [complex(dp.a) for dp in cplx] == [-1j, 1j]
+        assert all(isinstance(c, complex) for dp in cplx
+                   for c in dp.direction)
+
+    def test_real_count_matches_sturm(self, rng):
+        for _ in range(5):
+            p = random_member(rng)
+            cls = classify_type(p)
+            corr = cls.correspondence
+            d0red = corr.d0.exquo(corr.gcd)
+            pts = cls.darboux_points
+            assert sum(dp.multiplicity for dp in pts) == d0red.degree()
+            assert sum(dp.multiplicity for dp in pts if dp.is_real) == \
+                d0red.count_roots()
+
+    def test_no_radicals(self, monkeypatch):
+        """classify_type and necessity_verdict decide without sympy's
+        simplify and roots, that is without forming radicals."""
+        from pentakin.bonds import necessity_verdict
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("radical path taken")
+
+        p = three_real_darboux_pentapod()
+        with monkeypatch.context() as mp:
+            mp.setattr(sp, "simplify", forbidden)
+            mp.setattr(sp, "roots", forbidden)
+            guarded = (classify_type(p), necessity_verdict(p))
+        cls, verdict = classify_type(p), necessity_verdict(p)
+        assert guarded[0].kind == cls.kind == "type1"
+        assert [(complex(dp.a), dp.is_real) for dp in guarded[0].darboux_points] \
+            == [(complex(dp.a), dp.is_real) for dp in cls.darboux_points]
+        assert guarded[1] == verdict and not verdict.has_bond
 
 
 class TestPlanarAffineRelation:

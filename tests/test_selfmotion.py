@@ -12,7 +12,8 @@ from pentakin.kinmap import Leg, Pentapod, displacement, phi_residuals
 from pentakin.polyalg import GaussRat, exactify, to_float
 from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  LegGenerationError, NotASelfMotionError,
-                                 Reality, circular_translation_check,
+                                 Reality, SelfMotionError,
+                                 circular_translation_check,
                                  duporcq_check, real_legs_from_design,
                                  reality, remaining_relation_residual,
                                  synth_leg_params, trace)
@@ -112,6 +113,23 @@ class TestDuporcq:
     def test_wrong_type_rejected(self):
         with pytest.raises(Exception):
             duporcq_check(type4_pentapod())
+
+    def test_planar_rejected(self):
+        with pytest.raises(SelfMotionError, match="planar_pencil"):
+            duporcq_check(ar_planar_pentapod())
+
+    def test_reads_only_the_correspondence(self, monkeypatch,
+                                           type1_reference_pentapod):
+        # the level needs neither the Darboux points nor the Mannheim image
+        import pentakin.rearrange as rearrange
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full classification computed")
+
+        for name in ("classify_type", "_darboux_points", "_mannheim_image"):
+            monkeypatch.setattr(rearrange, name, forbidden)
+        assert duporcq_check(type1_reference_pentapod) is Duporcq.FULL
+        assert duporcq_check(cylinder_only_pentapod(2)) is Duporcq.FIRST_ONLY
 
     def test_numeric_level_keeps_mpmath_precision(self):
         import mpmath
