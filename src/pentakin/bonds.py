@@ -19,7 +19,7 @@ from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
                      phi_gradient, sphere_condition)
 from .polyalg import (GaussRat, exactify, is_exact, numeric_rank, to_complex,
                       to_sympy)
-from .reduced import Reduction, choose_pivots
+from .reduced import Reduction, choose_pivots, polarise
 
 _FREE_SYMS = sp.symbols("u v w")
 
@@ -129,17 +129,9 @@ _MONOMIALS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
 
 def _boundary_conics(T):
     """The boundary quadrics on the plane x0 = 0, gamma_k(T . (0, u, v, w)),
-    as coefficient tuples over _MONOMIALS: read off exactly from the
-    quadrics at the three free basis vectors and at their pairwise sums."""
-    eu, ev, ew = ([row[j] for row in T] for j in (1, 2, 3))
-
-    def at(*vs):
-        return gamma_residuals([sum(c) for c in zip(*vs)])
-
-    qu, qv, qw = at(eu), at(ev), at(ew)
-    return [(a, ab - a - b, b, ac - a - c, bc - b - c, c)
-            for a, b, c, ab, ac, bc in zip(qu, qv, qw, at(eu, ev), at(eu, ew),
-                                           at(ev, ew))]
+    as exact coefficient tuples over _MONOMIALS."""
+    return [tuple(q[mono] for mono in _MONOMIALS)
+            for q in polarise(T, gamma_residuals, (1, 2, 3))]
 
 
 def _conic_poly(q, gens):

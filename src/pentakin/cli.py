@@ -18,7 +18,7 @@ from .archsing import (ArchsingError, AssumptionViolationError, classify_arch,
 from .bonds import BondError, necessity_verdict
 from .dirkin import DirkinError, max_real_solutions, solve_dk
 from .geom import ProjPoint
-from .kinmap import KinmapError, Leg, Pentapod, displacement
+from .kinmap import COORD_NAMES, KinmapError, Leg, Pentapod, displacement
 from .polyalg import GaussRat, exactify, to_float
 from .rearrange import ArchSingularInputError, classify_type
 from .selfmotion import (SelfMotionError, real_legs_from_design, reality,
@@ -201,8 +201,7 @@ def cmd_dk(args):
         "coefficients": [emit(Fraction(c.p, c.q), args.exact)
                          for c in poly.all_coeffs()],
         "realSolutions": [
-            {"coords": dict(zip(("n0", "x0", "x1", "x2", "x3",
-                                 "y0", "y1", "y2", "y3"),
+            {"coords": dict(zip(COORD_NAMES,
                                 (float(c) for c in s.params.coords()))),
              "residual": s.residual,
              "lengths": list(s.lengths)}
@@ -219,10 +218,8 @@ def cmd_bonds(args):
            "tangencyRankDeficient": v.tangency_rank_deficient,
            "jacobianRank": v.jacobian_rank,
            "bonds": [
-               {"coords": dict(zip(("n0", "x0", "x1", "x2", "x3",
-                                    "y0", "y1", "y2", "y3"),
-                                   (emit(c, args.exact)
-                                    for c in b.params.coords()))),
+               {"coords": dict(zip(COORD_NAMES, (emit(c, args.exact)
+                                                  for c in b.params.coords()))),
                 "multiplicity": b.multiplicity,
                 "exact": b.exact,
                 "conjugateIndex": b.conjugate_index}

@@ -9,27 +9,25 @@ it is a tangent or singular contact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .bonds import DependentConstraintsError, necessity_verdict
-from .kinmap import (Leg, MotionParams, Pentapod, phi_gradient, phi_residuals,
-                     sphere_condition)
-from .polyalg import exactify, to_float
+from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
+                     phi_gradient, phi_residuals, sphere_condition)
+from .polyalg import exactify, real_roots, to_float
 from .rearrange import require_member
-from .reduced import Reduction, choose_pivots
+from .reduced import Reduction, choose_pivots, first_resultants
 
 _XS = sp.symbols("q1 q2 q3")
 
 
 class DirkinError(ValueError):
     pass
-
-
-class InconsistentLengthsError(DirkinError):
-    """All elimination roots failed back-substitution."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,6 @@ class DKResult:
         return self.polynomial.degree()
 
 
-_COORD_NAMES = ("n0", "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
-
-
 def solve_dk(p: Pentapod, lengths=None, lengths2=None,
              tol: float = 1e-9) -> DKResult:
     """Solve the direct kinematics for the given leg lengths.
@@ -72,31 +67,30 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
             "sphere hyperplanes are linearly dependent: architecturally "
             "singular geometry")
     red = Reduction(rows, pivots)
-    Q1, Q2, Q3 = red.quadrics(_XS)
-    elim = None
-    route = ""
+    quadrics = red.quadrics(_XS)
     # rotate the elimination roles when the last variable degenerates
-    for rot, (f1, f2, f3) in enumerate(
-            (_XS, _XS[1:] + _XS[:1], _XS[2:] + _XS[:2])):
-        if sp.Poly(Q3, f1).degree() == 1:
-            route = "linear-x1"
-            elim = _eliminate_linear(Q1, Q2, Q3, f1, f2, f3)
+    for rot in range(3):
+        order = _XS[rot:] + _XS[:rot]
+        quads = tuple(q.reorder(*order) for q in quadrics)
+        xis = first_resultants(quads)
+        if quads[2].degree() == 1:
+            # Q3 = c1 f1 + c0: Res(Qk, Q3) is +-c1^d Qk(-c0 / c1) for Qk of
+            # degree d in f1, so one more resultant in f2 eliminates
+            route, elim = "linear-x1", xis[0].resultant(xis[1])
         else:
-            route = "cascade"
-            elim = _eliminate_cascade(Q1, Q2, Q3, f1, f2, f3)
+            route, elim = "cascade", _eliminate_cascade(xis)
         if elim is not None and elim.degree() > 0:
             if rot:
                 route += f"-rot{rot}"
             break
-    if elim is None or elim.degree() <= 0:
+    else:
         raise DirkinError("elimination collapsed; degenerate geometry")
-    elim = _primitive(elim, f3)
-    quads = (Q1, Q2, Q3)
-    order = [f1, f2, f3]
-    elim = _drop_extraneous(elim, quads, red, order, tol)
-    sols = _real_solutions(elim, quads, red, order, legs, tol)
-    pivot_names = tuple(_COORD_NAMES[c] for c in pivots)
-    return DKResult(elim, str(f3), tuple(sols), route, pivot_names)
+    # back-substitution data: Res(Q1, Q3) in (f2, f3) and Q1 in (f1, f2, f3)
+    back = (_dense(xis[1]), _dense(quads[0]), order)
+    elim = _drop_extraneous(_primitive(elim), red, back, tol)
+    sols = _real_solutions(elim, red, back, legs, tol)
+    pivot_names = tuple(COORD_NAMES[c] for c in pivots)
+    return DKResult(elim, str(order[2]), tuple(sols), route, pivot_names)
 
 
 def _legs_with_lengths(p, lengths, lengths2):
@@ -109,90 +103,104 @@ def _legs_with_lengths(p, lengths, lengths2):
     raise DirkinError("leg lengths are required")
 
 
-def _eliminate_linear(Q1, Q2, Q3, f1, f2, f3):
-    p3 = sp.Poly(Q3, f1)
-    c1, c0 = p3.all_coeffs()
-    sub = {f1: -c0 / c1}
-    R1 = sp.expand(sp.numer(sp.together(Q1.subs(sub))))
-    R2 = sp.expand(sp.numer(sp.together(Q2.subs(sub))))
-    res = sp.expand(sp.resultant(R1, R2, f2))
-    return sp.Poly(res, f3)
+def _eliminate_cascade(xis):
+    ups = [u for a, b in itertools.combinations(xis, 2)
+           if not (a.is_zero or b.is_zero or (u := a.resultant(b)).is_zero)]
+    return functools.reduce(sp.Poly.gcd, ups) if ups else None
 
 
-def _eliminate_cascade(Q1, Q2, Q3, f1, f2, f3):
-    xi1 = sp.expand(sp.resultant(Q2, Q3, f1))
-    xi2 = sp.expand(sp.resultant(Q1, Q3, f1))
-    xi3 = sp.expand(sp.resultant(Q1, Q2, f1))
-    ups = []
-    for a, b in ((xi1, xi2), (xi1, xi3), (xi2, xi3)):
-        if a == 0 or b == 0:
-            continue
-        ups.append(sp.expand(sp.resultant(a, b, f2)))
-    ups = [u for u in ups if u != 0]
-    if not ups:
-        return None
-    g = ups[0]
-    for u in ups[1:]:
-        g = sp.gcd(g, u)
-    return sp.Poly(g, f3)
+def _primitive(poly: sp.Poly) -> sp.Poly:
+    """The primitive integer polynomial with a positive leading coefficient
+    that is a rational multiple of `poly`."""
+    prim = poly.clear_denoms(convert=True)[1].primitive()[1]
+    return -prim if prim.LC() < 0 else prim
 
 
-def _primitive(poly: sp.Poly, var) -> sp.Poly:
-    if poly.is_zero:
-        return poly
-    c, prim = sp.Poly(poly.as_expr(), var).primitive()
-    if prim.LC() < 0:
-        prim = -prim
-    return prim
-
-
-def _drop_extraneous(elim, quads, red, fsyms, tol):
+def _drop_extraneous(elim, red, back, tol):
     """Keep only irreducible factors whose roots back-substitute to genuine
     configurations."""
-    if elim.degree() <= 0:
-        return elim
-    var = elim.gens[0]
-    kept = sp.Integer(1)
-    for fct, mult in sp.factor_list(elim.as_expr())[1]:
-        fp = sp.Poly(fct, var)
-        if fp.degree() == 0:
-            continue
-        roots = np.roots([complex(c) for c in fp.all_coeffs()])
-        good = any(_complete(r, quads, red, fsyms, tol) is not None
-                   for r in roots)
-        if good:
-            kept = kept * fct ** mult
-    out = sp.Poly(kept, var)
-    return _primitive(out, var) if out.degree() > 0 else out
+    kept = sp.Poly(1, *elim.gens)
+    for fct, mult in elim.factor_list()[1]:
+        roots = np.roots([complex(c) for c in fct.all_coeffs()])
+        if any(_complete(r, red, back, tol) for r in roots):
+            kept *= fct ** mult
+    return _primitive(kept)
 
 
-def _complete(root, quads, red, fsyms, tol):
-    """Back-substitute an elimination root to a full configuration; None
-    when no completion passes the residual filter."""
-    f1, f2, f3 = fsyms
-    Q1, Q2, Q3 = quads
+def _dense(p: sp.Poly):
+    """The coefficients of p as a complex array indexed by exponents."""
+    out = np.zeros([max(d, 0) + 1 for d in p.degree_list()], dtype=complex)
+    for mono, c in p.terms():
+        out[mono] = complex(c)
+    return out
+
+
+def _in_first(coeffs, *values):
+    """The coefficients, highest degree first, of the polynomial in the
+    first variable left when the others take `values`."""
+    for v in reversed(values):
+        coeffs = coeffs @ v ** np.arange(coeffs.shape[-1])
+    return coeffs[::-1]
+
+
+def _complete(root, red, back, tol):
+    """Back-substitute an elimination root: every completion that passes
+    the residual filter, as (error, configuration), best first."""
+    r13, q1, order = back
     t = complex(root)
-    # solve the pair (Q1, Q3) in (f1, f2) at f3 = t, filter with Q2
-    r12 = sp.expand(sp.resultant(Q1, Q3, f1))
-    pol = sp.Poly(sp.expand(r12.subs(f3, sp.Float(t.real, 20)
-                                     + sp.I * sp.Float(t.imag, 20))), f2)
-    if pol.degree() < 1:
-        return None
-    best = None
-    for r2 in np.roots([complex(c) for c in pol.all_coeffs()]):
-        sub2 = {f2: complex(r2), f3: t}
-        p1 = sp.Poly(sp.expand(Q1.subs(sub2)), f1)
-        if p1.degree() < 1:
-            continue
-        for r1 in np.roots([complex(c) for c in p1.all_coeffs()]):
-            point = {f1: r1, f2: r2, f3: t}
-            vals = (red.Tn @ np.array([1, *(point[q] for q in _XS)])).tolist()
+    T = red.Tn
+    cols = [1 + _XS.index(f) for f in order]    # columns of f1, f2, f3 in T
+
+    def coords(v):
+        x = np.empty(4, dtype=complex)
+        x[[0, *cols]] = (1, *v, t)
+        return T @ x
+
+    def pair(v):
+        return np.array(phi_residuals(coords(v)))[[0, 2]]
+
+    def pair_jac(v):
+        return (np.array(phi_gradient(coords(v)), dtype=complex)[[0, 2]]
+                @ T[:, cols[:2]])
+
+    out = []
+    # solve the pair (Q1, Q3) in (f1, f2) at f3 = t, filter with Q2; np.roots
+    # drops leading zeros and finds no root of a constant
+    for r2 in np.roots(_in_first(r13, t)):
+        for r1 in np.roots(_in_first(q1, r2, t)):
+            # np.roots finds an f2 shared by two points of the pair only to
+            # sqrt(eps); Newton on the pair at fixed t restores the rest
+            f12 = _newton(pair, pair_jac, np.array([r1, r2]), 4)[1]
+            vals = coords(f12).tolist()
             m = MotionParams(*vals)
-            res = [abs(complex(v)) for v in phi_residuals(m)]
-            scale = 1 + sum(abs(v) ** 2 for v in vals)
-            err = max(res) / scale
-            if err <= max(tol, 1e-8) and (best is None or err < best[0]):
-                best = (err, m)
+            err = (max(abs(complex(v)) for v in phi_residuals(m))
+                   / (1 + sum(abs(v) ** 2 for v in vals)))
+            if err <= max(tol, 1e-8):
+                out.append((err, m))
+    return sorted(out, key=lambda e: e[0])
+
+
+def _newton(F_, J_, x, steps):
+    """Damped least-squares Newton on F_ from x; the best iterate by
+    residual, as (residual, point)."""
+    best = (float(np.abs(F_(x)).max()), tuple(x))
+    for _ in range(steps):
+        try:
+            dx = np.linalg.lstsq(J_(x), F_(x), rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        # damped steps guard against overshooting near root collisions
+        for lam in (1.0, 0.5, 0.25):
+            cand = x - lam * dx
+            r = float(np.abs(F_(cand)).max())
+            if r < best[0]:
+                best = (r, tuple(cand))
+                x = cand
+                break
+        else:
+            break
+        if best[0] < 1e-16 * (1 + float(np.abs(x).max()) ** 2):
+            break
     return best
 
 
@@ -207,30 +215,7 @@ def _polish(red, point, steps: int = 30):
     def J_(v):
         return np.array(phi_gradient(T @ np.r_[1, v]), dtype=complex) @ T[:, 1:]
 
-    x = np.array(point, dtype=complex)
-
-    def res(v):
-        return float(np.abs(F_(v)).max())
-
-    best = (res(x), tuple(x))
-    for _ in range(steps):
-        f = F_(x)
-        try:
-            dx = np.linalg.lstsq(J_(x), f, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        # damped steps guard against overshooting near root collisions
-        for lam in (1.0, 0.5, 0.25):
-            cand = x - lam * dx
-            r = res(cand)
-            if r < best[0]:
-                best = (r, tuple(cand))
-                x = cand
-                break
-        else:
-            break
-        if best[0] < 1e-16 * (1 + float(np.abs(x).max()) ** 2):
-            break
+    best = _newton(F_, J_, np.array(point, dtype=complex), steps)
     scale = 1 + max(abs(v) for v in best[1]) ** 2
     if best[0] > 1e-12 * scale:
         refined = _polish_mp(red, best[1])
@@ -265,36 +250,35 @@ def _polish_mp(red, point, steps: int = 40):
         return tuple(complex(v) for v in best[1])
 
 
-def _real_solutions(elim, quads, red, fsyms, legs, tol):
-    from .polyalg import real_roots
+def _real_solutions(elim, red, back, legs, tol):
     sols = []
-    if elim.degree() <= 0:
-        return sols
+    # a root may carry several poses, e.g. a pose and its mirror image in
+    # a planar base; two completions of one pose polish to the same point
     for root, _ in real_roots(elim):
-        out = _complete(root, quads, red, fsyms, tol)
-        if out is None:
-            continue
-        err, m = out
-        start = [m.coords()[i] for i in red.free]
-        vals = (red.Tn @ np.r_[1, _polish(red, start)]).tolist()
-        m = MotionParams(*vals)
-        scale = 1 + sum(abs(v) ** 2 for v in vals)
-        err = max(abs(complex(v)) for v in phi_residuals(m)) / scale
-        if any(abs(complex(c).imag) > 1e-7 * (1 + abs(complex(c)))
-               for c in m.coords()):
-            continue
-        mr = MotionParams(*[complex(c).real for c in m.coords()])
-        lens = _leg_lengths(mr, legs)
-        resid = max(abs(l * l - to_float(leg.r2))
-                    for l, leg in zip(lens, legs))
-        sols.append(DKSolution(mr, max(err, resid /
-                                       (1 + max(to_float(l.r2) for l in legs))),
-                               tuple(lens)))
+        for _, m in _complete(root, red, back, tol):
+            start = [m.coords()[i] for i in red.free]
+            vals = (red.Tn @ np.r_[1, _polish(red, start)]).tolist()
+            m = MotionParams(*vals)
+            scale = 1 + sum(abs(v) ** 2 for v in vals)
+            err = max(abs(complex(v)) for v in phi_residuals(m)) / scale
+            if any(abs(complex(c).imag) > 1e-7 * (1 + abs(complex(c)))
+                   for c in m.coords()):
+                continue
+            mr = MotionParams(*[complex(c).real for c in m.coords()])
+            if any(max(abs(a - b) for a, b in zip(mr.coords(),
+                                                  s.params.coords()))
+                   <= 1e-8 * scale for s in sols):
+                continue
+            lens = _leg_lengths(mr, legs)
+            resid = max(abs(l * l - to_float(leg.r2))
+                        for l, leg in zip(lens, legs))
+            sols.append(DKSolution(
+                mr, max(err, resid / (1 + max(to_float(l.r2) for l in legs))),
+                tuple(lens)))
     return sols
 
 
 def _leg_lengths(m: MotionParams, legs):
-    from .kinmap import displacement
     out = []
     for leg in legs:
         P = displacement(m, to_float(leg.a), tol=1e-6)

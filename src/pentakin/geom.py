@@ -119,14 +119,6 @@ def cross_ratio(t1, t2, t3, t4):
     return num / den
 
 
-def cross_ratio_equal(p, q, tol: float = 0.0) -> bool:
-    if p is INF or q is INF:
-        return p is q
-    if tol == 0.0:
-        return p == q
-    return abs(to_complex(p) - to_complex(q)) <= tol * (1 + abs(to_complex(p)))
-
-
 # ---------------------------------------------------------------------------
 # Moebius transforms
 # ---------------------------------------------------------------------------

@@ -206,10 +206,6 @@ def conj(x):
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, GaussRat):
-        return complex(x)
-    if isinstance(x, sp.Expr):
-        return complex(x)
     return complex(x)
 
 

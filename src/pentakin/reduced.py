@@ -11,7 +11,8 @@ with an exact 9x4 matrix T of Fractions / GaussRats.  Direct kinematics and
 tracing work in the chart x0 = 1, bonds on the boundary x0 = 0.  The
 quadrics of the reduced system are ``kinmap.phi_residuals`` (or
 ``gamma_residuals``) applied to these coordinates; their formulas live only
-in :mod:`kinmap`.
+in :mod:`kinmap`, and :func:`polarise` reads their exact coefficients off
+the columns of T.
 """
 
 from __future__ import annotations
@@ -50,6 +51,35 @@ def choose_pivots(rows, skip=None):
     return None
 
 
+def polarise(T, residuals, cols):
+    """Exact coefficients of the quadrics `residuals(T . v)`, v running over
+    the columns `cols` of T: one dict per quadric, from exponent tuples over
+    `cols` to coefficients.  Read off by polarisation: q(e_i) is the
+    coefficient of v_i^2 and q(e_i + e_j) - q(e_i) - q(e_j) that of
+    v_i v_j."""
+    es = [[row[j] for row in T] for j in cols]
+
+    def at(*idx):
+        return residuals([sum(c) for c in zip(*(es[i] for i in idx))])
+
+    sq = [at(i) for i in range(len(es))]
+    out = [{} for _ in sq[0]]
+    for i, j in itertools.combinations_with_replacement(range(len(es)), 2):
+        mono = tuple((i, j).count(k) for k in range(len(es)))
+        vals = sq[i] if i == j else [ab - a - b for ab, a, b
+                                     in zip(at(i, j), sq[i], sq[j])]
+        for q, v in zip(out, vals):
+            q[mono] = v
+    return out
+
+
+def first_resultants(quads):
+    """The resultants of the three pairs (Q2, Q3), (Q1, Q3), (Q1, Q2) of
+    sp.Poly in their first generator, as sp.Poly in the others."""
+    Q1, Q2, Q3 = quads
+    return Q2.resultant(Q3), Q1.resultant(Q3), Q1.resultant(Q2)
+
+
 class Reduction:
     """Exact solution of five constraint rows for the given pivots.
 
@@ -70,15 +100,15 @@ class Reduction:
         Tn = np.array([[complex(v) for v in row] for row in T])
         self.Tn = Tn if Tn.imag.any() else Tn.real.copy()
 
-    def coords(self, syms, x0=1):
-        """The nine coordinates as sympy linear forms in the free symbols."""
-        v = (sp.Integer(x0),) + tuple(syms)
-        return tuple(sp.Add(*(to_sympy(t) * s for t, s in zip(row, v)))
-                     for row in self.T)
-
-    def quadrics(self, syms):
-        """The three image-variety quadrics in the chart x0 = 1, expanded."""
-        return tuple(sp.expand(q) for q in phi_residuals(self.coords(syms)))
+    def quadrics(self, gens):
+        """The three image-variety quadrics in the chart x0 = 1, as exact
+        sp.Poly in `gens`, the names of (s1, s2, s3), each scaled to
+        integer coefficients."""
+        return tuple(
+            sp.Poly.from_dict({mono[1:]: to_sympy(c)
+                               for mono, c in q.items() if c}, *gens)
+            .clear_denoms(convert=True)[1]
+            for q in polarise(self.T, phi_residuals, range(4)))
 
     def mp_matrix(self):
         """T as an mpmath matrix at the current working precision, converted

@@ -25,7 +25,7 @@ from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, A_SYM, _exceptional_points)
-from .reduced import Reduction, choose_pivots
+from .reduced import Reduction, choose_pivots, first_resultants
 
 _I = GaussRat(0, 1)
 
@@ -479,26 +479,23 @@ def _float_coeffs(p: sp.Poly):
 
 def _trace_type12(design, samples, tol):
     red = _design_reduction(design)
-    Q1, Q2, Q3 = red.quadrics(_S)
-    s1, s2, s3 = _S
     # s1, s2, s3 = x1, x2, x3; parameter t = x3, branches in x2
-    xi = [sp.expand(sp.resultant(Q2, Q3, s1)),
-          sp.expand(sp.resultant(Q1, Q3, s1)),
-          sp.expand(sp.resultant(Q1, Q2, s1))]
-    g = sp.gcd(sp.gcd(xi[0], xi[1]), xi[2])
-    gp = sp.Poly(g, s2)
-    if gp.degree() != 2:
+    xi1, xi2, xi3 = first_resultants(red.quadrics(_S))
+    g = xi1.gcd(xi2).gcd(xi3)
+    if g.degree() != 2:
         raise NotASelfMotionError(
             "the reduced system does not contain the two-branch curve")
-    c2, c1, c0 = (sp.Poly(c, s3) for c in gp.all_coeffs())
+    c2, c1, c0 = _coeffs_in_first(g)
     disc = c1 * c1 - 4 * c2 * c0
-    intervals = _real_intervals(disc)
+    intervals, rts = _real_intervals(disc)
     if not intervals:
         return TraceResult((), False, (), "x3")
     t = np.concatenate([np.linspace(lo, hi, max(2, samples))
                         for lo, hi in intervals])
     c2v, c1v, c0v, dv = (np.polyval(_float_coeffs(p), t)
                          for p in (c2, c1, c0, disc))
+    # at an isolated root the discriminant is zero, not its rounding residue
+    dv[np.isin(t, rts)] = 0.0
     keep = (dv >= 0) & (c2v != 0)
     root = np.sqrt(np.maximum(dv, 0.0))
     den = np.where(keep, 2 * c2v, 1.0)
@@ -510,6 +507,17 @@ def _trace_type12(design, samples, tol):
            for i in np.flatnonzero(keep)
            for branch, (m, ok) in branches if ok[i]]
     return TraceResult(tuple(out), bool(out), tuple(intervals), "x3")
+
+
+def _coeffs_in_first(p: sp.Poly):
+    """The coefficients of p in its first generator, highest degree first,
+    as sp.Poly in the other generators."""
+    n = max(p.degree(), 0)
+    parts = [{} for _ in range(n + 1)]
+    for mono, c in p.terms():
+        parts[n - mono[0]][mono[1:]] = c
+    return [sp.Poly.from_dict(d, *p.gens[1:], domain=p.domain)
+            for d in parts]
 
 
 def _complete_samples(red, x2, x3, tol):
@@ -528,17 +536,17 @@ def _complete_samples(red, x2, x3, tol):
 
 
 def _real_intervals(disc: sp.Poly):
-    """Intervals where the branch discriminant is nonnegative.  A constant
-    discriminant gives [-1, 1] when nonnegative; it is identically zero
-    when the two branches coincide."""
+    """Intervals where the branch discriminant is nonnegative, and its
+    isolated real roots.  A constant discriminant gives [-1, 1] when
+    nonnegative; it is identically zero when the two branches coincide."""
     from .polyalg import real_roots
     if disc.degree() <= 0:
-        return [(-1.0, 1.0)] if disc.LC() >= 0 else []
+        return ([(-1.0, 1.0)] if disc.LC() >= 0 else []), []
     rts = sorted(r for r, _ in real_roots(disc))
     bounds = [rts[0] - 1.0] + rts + [rts[-1] + 1.0] if rts else [-1.0, 1.0]
     coeffs = _float_coeffs(disc)
     return _merge_cells([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-                         if np.polyval(coeffs, 0.5 * (lo + hi)) >= 0])
+                         if np.polyval(coeffs, 0.5 * (lo + hi)) >= 0]), rts
 
 
 def _merge_cells(cells):
@@ -580,7 +588,7 @@ def _solve_leftover(red, x1, x2, tol):
     q(P) + s3 grad q(P).D + s3^2 q(D); its real roots are filtered on all
     three quadrics."""
     quads = red.quadrics(_S)
-    k = next((k for k in (1, 2, 0) if quads[k].has(_S[2])), None)
+    k = next((k for k in (1, 2, 0) if quads[k].degree(_S[2]) > 0), None)
     if k is None:
         return [[] for _ in x1]
     P = (red.Tn @ np.array([np.ones_like(x1), x1, x2, np.zeros_like(x1)])).real

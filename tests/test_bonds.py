@@ -101,7 +101,9 @@ class TestConicSystem:
                      cylinder_only_constraints(1)):
             rows = [[exactify(c) for c in hp.coeffs] for hp in cons]
             red = Reduction(rows, choose_pivots(rows))
-            coords = red.coords(_FREE_SYMS, x0=0)
+            coords = [sp.Add(*(to_sympy(t) * s
+                               for t, s in zip(row[1:], _FREE_SYMS)))
+                      for row in red.T]
             for q, g in zip(_boundary_conics(red.T), gamma_residuals(coords)):
                 poly = sp.Poly(sp.expand(g), *_FREE_SYMS)
                 assert [to_sympy(c) for c in q] == [

@@ -67,6 +67,36 @@ class TestSolveDK:
             assert hits, "seeded pose not recovered"
             assert hits[0].residual <= 1e-9
 
+    def test_pair_root_shared_by_two_points(self):
+        # at the pose's q3 = 2/7 two points of the pair (Q1, Q3) share
+        # q2 = 6/7; np.roots finds that double root only to about 1e-8, and
+        # the pose must still pass the completion's residual filter
+        lengths2 = [F(7, 2), F(437, 252), F(193, 504), F(9661, 3150),
+                    F(123695, 72828)]
+        out = solve_dk(cylinder_only_pentapod(2), lengths2=lengths2)
+        assert out.degree == 6
+        pose = (F(7, 16), 1, F(3, 7), F(6, 7), F(2, 7), F(-23, 14), F(-3, 2),
+                -1, F(-1, 2))
+        assert any(max(abs(float(c) - float(e))
+                       for c, e in zip(s.params.coords(), pose)) < 1e-9
+                   for s in out.solutions)
+
+    def test_every_pose_of_a_root(self):
+        # each double root y3 = +-3/4 of the quartic carries two poses,
+        # which differ in the sign of x3; all four are returned
+        lengths2 = [F(469, 144), F(15583, 1008), F(5683, 1008),
+                    F(73327, 1008), F(57283, 1008)]
+        out = solve_dk(ar_planar_pentapod(), lengths2=lengths2)
+        assert out.degree == 4 and len(out.solutions) == 4
+        got = sorted((round(s.params.x3 * 7), round(s.params.y3 * 4))
+                     for s in out.solutions)
+        assert got == [(-3, -3), (-3, 3), (3, -3), (3, 3)]
+        pose = (F(469, 1152), 1, F(-2, 7), F(6, 7), F(3, 7), F(-5, 28),
+                F(3, 2), F(2, 3), F(-3, 4))
+        assert any(max(abs(float(c) - float(e))
+                       for c, e in zip(s.params.coords(), pose)) < 1e-9
+                   for s in out.solutions)
+
     def test_generic_degree_eight(self, rng):
         for _ in range(3):
             p = random_member(rng)

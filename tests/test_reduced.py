@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
+import sympy as sp
+
 from conftest import rand_frac, random_member
-from pentakin import GaussRat, synth_leg_params
+from pentakin import GaussRat, synth_leg_params, trace
 from pentakin.bonds import constraints_of
-from pentakin.polyalg import exactify
-from pentakin.reduced import Reduction, choose_pivots
+from pentakin.dirkin import solve_dk
+from pentakin.kinmap import gamma_residuals, lift_study, phi_residuals
+from pentakin.polyalg import exactify, to_sympy
+from pentakin.reduced import Reduction, choose_pivots, polarise
+from test_dirkin import forward_lengths2, random_study
 
 
 def _rows(constraints):
@@ -83,3 +89,57 @@ def test_pivot_choice(type1_reference_pentapod):
     assert Reduction(rows, alt).free == tuple(
         c for c in (2, 3, 4, 0, 5, 6, 7, 8) if c not in alt)
     assert choose_pivots(rows[:4] + [rows[0]]) is None
+
+
+def test_polarised_quadrics_are_exact(systems):
+    rng = random.Random(7)
+    for rows, pivots in systems:
+        red = Reduction(rows, pivots or choose_pivots(rows))
+        for residuals, cols in ((phi_residuals, range(4)),
+                                (gamma_residuals, (1, 2, 3))):
+            quads = polarise(red.T, residuals, cols)
+            for _ in range(3):
+                v = [rand_frac(rng) for _ in cols]
+                at = [0] * 4
+                for c, x in zip(cols, v):
+                    at[c] = x
+                want = residuals([sum(t * e for t, e in zip(row, at))
+                                  for row in red.T])
+                got = [sum(c * math.prod(x ** k for x, k in zip(v, mono))
+                           for mono, c in q.items()) for q in quads]
+                assert got == list(want)
+        # the chart x0 = 1 as integer sp.Poly, a rational multiple of each
+        # polarised quadric
+        gens = sp.symbols("s1 s2 s3")
+        for poly, q in zip(red.quadrics(gens),
+                           polarise(red.T, phi_residuals, range(4))):
+            assert poly.domain in (sp.ZZ, sp.ZZ_I)
+            ref = sp.Poly(sum(to_sympy(c) * sp.Mul(*(g ** k for g, k
+                                                     in zip(gens, mono[1:])))
+                              for mono, c in q.items()), *gens)
+            assert poly.monic() == ref.monic()
+
+
+def test_no_expression_path(monkeypatch, rng, type1_reference_design,
+                            type2_reference_design):
+    """DK and tracing eliminate on sp.Poly: they give the same answers
+    with sympy's expression-tree algebra patched to raise."""
+    p = random_member(rng)
+    lengths2 = forward_lengths2(p, lift_study(random_study(rng)))
+
+    def answers():
+        dk = solve_dk(p, lengths2=lengths2)
+        return ((dk.route, dk.variable, dk.pivots, dk.polynomial,
+                 [s.params for s in dk.solutions]),
+                [trace(d, samples=40).samples
+                 for d in (type1_reference_design, type2_reference_design)])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("expression path taken")
+
+    with monkeypatch.context() as mp:
+        for name in ("expand", "together", "numer", "resultant", "gcd"):
+            mp.setattr(sp, name, forbidden)
+        guarded = answers()
+    assert guarded == answers()
+    assert guarded[0][3].degree() == 8

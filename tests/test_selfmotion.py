@@ -239,9 +239,24 @@ class TestTrace:
         Q1, Q2, Q3 = Reduction(rows, choose_pivots(rows)).quadrics(
             (s1, s2, s3))
         for A, B in ((Q1, Q3), (Q2, Q3), (Q1, Q2)):
-            xi = sp.expand(sp.resultant(A, B, s1))
-            assert sp.Poly(xi, s2, s3).total_degree() <= 4
-            assert sp.Poly(xi, s2).degree() <= 2
+            xi = A.resultant(B)
+            assert xi.total_degree() <= 4
+            assert xi.degree(s2) <= 2
+
+    def test_endpoints_on_the_curve(self, type1_reference_design,
+                                    type2_reference_design):
+        # the end samples sit on isolated roots of the branch discriminant,
+        # where both branches meet; they are as accurate as interior ones
+        from test_acceptance import _closed_form_type1
+        tr = trace(type2_reference_design, samples=56)
+        ends = [s for s in tr.samples if s.t in tr.intervals[0]]
+        assert len(ends) == 4
+        assert all(abs(s.params.x2) <= 1e-14 for s in ends)
+        tr = trace(type1_reference_design, samples=56)
+        ends = [s for s in tr.samples if s.t == tr.intervals[0][1]]
+        assert len(ends) == 2
+        for s in ends:
+            assert abs(s.params.x1 - _closed_form_type1(s.t, 1)[0]) <= 1e-12
 
     def test_coinciding_branches(self):
         # the branch discriminant vanishes identically: both branches of
