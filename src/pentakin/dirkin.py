@@ -22,8 +22,11 @@ from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
 from .polyalg import exactify, real_roots, to_float
 from .rearrange import require_member
 from .reduced import Reduction, choose_pivots, first_resultants
+from .tol import (COMPLETION_RESIDUAL, IMAG_CUT, MP_POLISH_SWITCH,
+                  NEWTON_STOP, POSE_MERGE, PRE_NEWTON_GATE)
 
 _XS = sp.symbols("q1 q2 q3")
+_FLOAT_BITS = 1000          # see _to_complex
 
 
 class DirkinError(ValueError):
@@ -121,17 +124,29 @@ def _drop_extraneous(elim, red, back, tol):
     configurations."""
     kept = sp.Poly(1, *elim.gens)
     for fct, mult in elim.factor_list()[1]:
-        roots = np.roots([complex(c) for c in fct.all_coeffs()])
+        roots = np.roots(_to_complex(fct.all_coeffs()))
         if any(_complete(r, red, back, tol) for r in roots):
             kept *= fct ** mult
     return _primitive(kept)
 
 
+def _to_complex(coeffs):
+    """Exact coefficients of one polynomial as complex floats.  Beyond
+    2**_FLOAT_BITS, near float64's limit of 2**1024, the list is first
+    divided by one exact power of two: that scales the polynomial and
+    leaves its roots unchanged, where complex(c) would give inf."""
+    bits = max(int(abs(c)).bit_length() for c in coeffs)
+    if bits <= _FLOAT_BITS:
+        return [complex(c) for c in coeffs]
+    return [complex(sp.Rational(c, 2 ** bits)) for c in coeffs]
+
+
 def _dense(p: sp.Poly):
     """The coefficients of p as a complex array indexed by exponents."""
     out = np.zeros([max(d, 0) + 1 for d in p.degree_list()], dtype=complex)
-    for mono, c in p.terms():
-        out[mono] = complex(c)
+    monos, coeffs = zip(*p.terms())
+    for mono, c in zip(monos, _to_complex(coeffs)):
+        out[mono] = c
     return out
 
 
@@ -156,28 +171,43 @@ def _complete(root, red, back, tol):
         x[[0, *cols]] = (1, *v, t)
         return T @ x
 
-    def pair(v):
-        return np.array(phi_residuals(coords(v)))[[0, 2]]
+    def newton(rows, v):
+        """Newton at f3 = t in (f1, f2) on the quadrics `rows`."""
+        def F_(v):
+            return np.array(phi_residuals(coords(v)))[rows]
 
-    def pair_jac(v):
-        return (np.array(phi_gradient(coords(v)), dtype=complex)[[0, 2]]
-                @ T[:, cols[:2]])
+        def J_(v):
+            return (np.array(phi_gradient(coords(v)), dtype=complex)[rows]
+                    @ T[:, cols[:2]])
+        return np.array(_newton(F_, J_, v, 4)[1])
 
     out = []
     # solve the pair (Q1, Q3) in (f1, f2) at f3 = t, filter with Q2; np.roots
     # drops leading zeros and finds no root of a constant
     for r2 in np.roots(_in_first(r13, t)):
         for r1 in np.roots(_in_first(q1, r2, t)):
+            f12 = np.array([r1, r2])
+            if _scaled_residual(coords(f12).tolist()) > PRE_NEWTON_GATE:
+                continue
             # np.roots finds an f2 shared by two points of the pair only to
-            # sqrt(eps); Newton on the pair at fixed t restores the rest
-            f12 = _newton(pair, pair_jac, np.array([r1, r2]), 4)[1]
-            vals = coords(f12).tolist()
-            m = MotionParams(*vals)
-            err = (max(abs(complex(v)) for v in phi_residuals(m))
-                   / (1 + sum(abs(v) ** 2 for v in vals)))
-            if err <= max(tol, 1e-8):
-                out.append((err, m))
+            # sqrt(eps); Newton on the pair at fixed t restores the rest.
+            # Where the pair is tangent at t its Jacobian is singular and
+            # Newton stalls near 1e-7; least squares on all three quadrics
+            # then finishes, as Q2's gradient restores the full rank
+            for rows in ([0, 2], [0, 1, 2]):
+                f12 = newton(rows, f12)
+                vals = coords(f12).tolist()
+                err = _scaled_residual(vals)
+                if err <= max(tol, COMPLETION_RESIDUAL):
+                    out.append((err, MotionParams(*vals)))
+                    break
     return sorted(out, key=lambda e: e[0])
+
+
+def _scaled_residual(vals):
+    """The largest quadric residual of nine coordinates over 1 + |x|^2."""
+    return (max(abs(complex(v)) for v in phi_residuals(vals))
+            / (1 + sum(abs(v) ** 2 for v in vals)))
 
 
 def _newton(F_, J_, x, steps):
@@ -199,7 +229,7 @@ def _newton(F_, J_, x, steps):
                 break
         else:
             break
-        if best[0] < 1e-16 * (1 + float(np.abs(x).max()) ** 2):
+        if best[0] < NEWTON_STOP * (1 + float(np.abs(x).max()) ** 2):
             break
     return best
 
@@ -217,7 +247,7 @@ def _polish(red, point, steps: int = 30):
 
     best = _newton(F_, J_, np.array(point, dtype=complex), steps)
     scale = 1 + max(abs(v) for v in best[1]) ** 2
-    if best[0] > 1e-12 * scale:
+    if best[0] > MP_POLISH_SWITCH * scale:
         refined = _polish_mp(red, best[1])
         if refined is not None:
             return refined
@@ -258,16 +288,15 @@ def _real_solutions(elim, red, back, legs, tol):
         for _, m in _complete(root, red, back, tol):
             start = [m.coords()[i] for i in red.free]
             vals = (red.Tn @ np.r_[1, _polish(red, start)]).tolist()
-            m = MotionParams(*vals)
             scale = 1 + sum(abs(v) ** 2 for v in vals)
-            err = max(abs(complex(v)) for v in phi_residuals(m)) / scale
-            if any(abs(complex(c).imag) > 1e-7 * (1 + abs(complex(c)))
-                   for c in m.coords()):
+            err = _scaled_residual(vals)
+            if any(abs(complex(c).imag) > IMAG_CUT * (1 + abs(complex(c)))
+                   for c in vals):
                 continue
-            mr = MotionParams(*[complex(c).real for c in m.coords()])
+            mr = MotionParams(*[complex(c).real for c in vals])
             if any(max(abs(a - b) for a, b in zip(mr.coords(),
                                                   s.params.coords()))
-                   <= 1e-8 * scale for s in sols):
+                   <= POSE_MERGE * scale for s in sols):
                 continue
             lens = _leg_lengths(mr, legs)
             resid = max(abs(l * l - to_float(leg.r2))

@@ -4,12 +4,13 @@ Exact scalars are ``fractions.Fraction`` (rationals) and :class:`GaussRat`
 (Gaussian rationals p + q*i).  All geometric decisions elsewhere in the
 package run on exact scalars; floats enter only through root finding and
 trajectory sampling.  Polynomial heavy lifting (resultants, factorization,
-Sturm-based real roots) is delegated to sympy, numeric rank to numpy's SVD.
+real root isolation) is delegated to sympy, numeric rank to numpy's SVD.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -406,9 +407,11 @@ def real_roots(p, tol: float = 1e-10):
     """All real roots of a univariate polynomial, with multiplicities.
 
     Returns a list of (root, multiplicity) sorted ascending; roots are floats.
-    Exact rational/integer coefficients go through Sturm-based isolation;
-    floating coefficients go through the companion matrix with a residual
-    filter |p(r)| <= tol * (1 + max|coeff|).
+    Exact rational/integer coefficients go through continued-fraction
+    isolation (``Poly.intervals``, no factorisation) and then exact
+    bisection to the correctly rounded float of each root; roots that
+    round to one float are merged.  Floating coefficients go through the
+    companion matrix with a residual filter |p(r)| <= tol * (1 + max|coeff|).
     """
     x = sp.Symbol("_x")
     if isinstance(p, sp.Poly):
@@ -428,14 +431,19 @@ def real_roots(p, tol: float = 1e-10):
     if poly.degree() == 0:
         return []
     if all(c.is_rational for c in poly.all_coeffs()):
-        rts = sp.real_roots(poly)
+        if poly.domain not in (sp.ZZ, sp.QQ):
+            poly = poly.set_domain(sp.QQ)
+        sqf = poly.sqf_part().clear_denoms(convert=True)[1]
+        q = [int(c) for c in sqf.all_coeffs()]
+        dq = [c * k for c, k in zip(q, range(len(q) - 1, 0, -1))]
         out = []
-        for r in rts:
-            rv = float(r.evalf(30))
-            if out and abs(rv - out[-1][0]) == 0:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
+        for (a, b), mult in sorted(poly.intervals()):
+            rv = _rounded_root(q, dq, Fraction(int(a.p), int(a.q)),
+                               Fraction(int(b.p), int(b.q)))
+            if out and rv == out[-1][0]:
+                out[-1] = (rv, out[-1][1] + mult)
             else:
-                out.append((rv, 1))
+                out.append((rv, mult))
         return out
     coeffs = [to_complex(c) for c in poly.all_coeffs()]
     roots = np.roots(coeffs)
@@ -452,3 +460,58 @@ def real_roots(p, tol: float = 1e-10):
     if not out and good:
         raise PolyalgError("real root isolation failed to converge")
     return out
+
+
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of the integer polynomial `coeffs` (highest degree first) at x,
+    by Horner's rule on d**deg * p(n/d) in integers."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in coeffs:
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _as_float(x: Fraction) -> float:
+    """x correctly rounded to a float; beyond the float range, +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _rounded_root(q, dq, a: Fraction, b: Fraction) -> float:
+    """The correctly rounded float of the one root in the isolating
+    interval [a, b] of the squarefree integer polynomial q (derivative dq).
+
+    Bisects exactly until both ends round to one float.  An end may be a
+    neighbouring root, where q = 0; the sign of q just inside the interval
+    then comes from q' (q is squarefree, so q' does not vanish there).
+    """
+    if a == b:
+        return _as_float(a)
+    sa = _sign_at(q, a) or _sign_at(dq, a)              # q right of a
+    if (_sign_at(q, b) or -_sign_at(dq, b)) != -sa:     # q left of b
+        raise PolyalgError("real root isolation gave no sign change")
+    fa, fb = _as_float(a), _as_float(b)
+    while fa != fb:
+        if math.isfinite(fa) and math.isfinite(fb) and \
+                math.nextafter(fa, math.inf) == fb:
+            # adjacent floats: the root rounds by its side of the halfway h
+            h = (Fraction(fa) + Fraction(fb)) / 2
+            if h <= a:
+                return fb
+            if h >= b:
+                return fa
+            s = _sign_at(q, h)
+            return float(h) if s == 0 else (fb if s == sa else fa)
+        m = (a + b) / 2
+        s = _sign_at(q, m)
+        if s == 0:
+            return _as_float(m)
+        if s == sa:
+            a, fa = m, _as_float(m)
+        else:
+            b, fb = m, _as_float(m)
+    return fa

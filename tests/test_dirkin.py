@@ -1,3 +1,5 @@
+import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +83,28 @@ class TestSolveDK:
                        for c, e in zip(s.params.coords(), pose)) < 1e-9
                    for s in out.solutions)
 
+    @pytest.mark.parametrize("design, lengths2, pose", [
+        # Q1 and Q3 are tangent at the pose for its q3 (-4, and 8/9): the
+        # pair's Jacobian is singular there and Newton on it stalls at a
+        # residual of 1e-8 to 1e-7, so the pose's linear factor was
+        # dropped as extraneous
+        (ideal_vertex_pentapod,
+         [F(101, 4), F(126103, 4032), F(110269, 2916), F(16269, 350),
+          F(1326739, 30492)],
+         (F(101, 32), 1, F(-2, 7), F(-6, 7), F(-3, 7), F(15, 7), -3,
+          F(1, 2), -4)),
+        (lambda: cylinder_only_pentapod(2),
+         [F(589, 36), F(95, 6), F(487, 72), F(21781, 900), F(21295, 1734)],
+         (F(589, 288), 1, F(1, 9), F(-4, 9), F(8, 9), F(37, 27), F(1, 3),
+          -4, F(-1, 2))),
+    ], ids=["ideal-vertex", "cylinder-type2"])
+    def test_pair_tangent_at_the_pose(self, design, lengths2, pose):
+        out = solve_dk(design(), lengths2=lengths2)
+        assert out.degree == 6
+        assert any(max(abs(float(c) - float(e))
+                       for c, e in zip(s.params.coords(), pose)) < 1e-9
+                   for s in out.solutions)
+
     def test_every_pose_of_a_root(self):
         # each double root y3 = +-3/4 of the quartic carries two poses,
         # which differ in the sign of x3; all four are returned
@@ -95,6 +119,32 @@ class TestSolveDK:
                 F(3, 2), F(2, 3), F(-3, 4))
         assert any(max(abs(float(c) - float(e))
                        for c, e in zip(s.params.coords(), pose)) < 1e-9
+                   for s in out.solutions)
+
+    def test_float_geometry(self):
+        # an all-float geometry, embedded exactly: its eliminant has
+        # coefficients of about 2500 bits, beyond float64's 2**1024, and DK
+        # still recovers the pose with no raw NumPy warning
+        platform = (1.1, 2.1, -0.15, -1.2333333333333332, 3.1)
+        base = ((1.1, -1.5666666666666667, -1.9), (0.6, -4.9, 1.35),
+                (-2.9, 0.6, 1.6), (0.6, 4.1, 0.35), (1.1, -5.9, 0.1))
+        p = Pentapod(tuple(Leg(F(a), tuple(F(c) for c in b))
+                           for a, b in zip(platform, base)))
+        m = lift_study(random_study(random.Random(1)))
+        lengths2 = forward_lengths2(p, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve_dk(p, lengths2=lengths2)
+        coeffs = out.polynomial.all_coeffs()
+        assert max(abs(int(c)) for c in coeffs) > 2 ** 1100
+        assert out.degree == 8 and out.solutions
+        for s in out.solutions:
+            assert s.residual <= 1e-9
+            for got, want in zip(s.lengths, lengths2):
+                assert abs(got * got - want) <= 1e-9 * (1 + want)
+        target = [to_float(c) for c in m.normalized().coords()]
+        assert any(max(abs(float(c) - t)
+                       for c, t in zip(s.params.coords(), target)) < 1e-9
                    for s in out.solutions)
 
     def test_generic_degree_eight(self, rng):

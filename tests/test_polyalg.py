@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +7,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentakin.polyalg import (GaussRat, PolyalgError, exactify, mat_det,
-                              mat_rank, mat_solve, numeric_rank, real_roots,
-                              resultant)
+from pentakin.polyalg import (GaussRat, PolyalgError, _rounded_root, exactify,
+                              mat_det, mat_rank, mat_solve, numeric_rank,
+                              real_roots, resultant)
 
 x, b, c = sp.symbols("x b c")
 
@@ -105,7 +106,7 @@ class TestRealRoots:
             real_roots(sp.Poly(0, x))
 
     def test_reference_quartic_root_count(self):
-        # Sturm-based count, cross-checked against the companion matrix:
+        # exact isolation count, cross-checked against the companion matrix:
         # two real roots (the other pair is complex near 2.023 +- 0.047i)
         q = sp.Poly([76425120000, -291209472000, 241133479200,
                      69486876480, 4316636297], x)
@@ -115,6 +116,73 @@ class TestRealRoots:
         import numpy as np
         npr = np.roots([float(c) for c in q.all_coeffs()])
         assert sum(1 for r in npr if abs(r.imag) < 1e-12) == 2
+
+    def test_matches_crootof_refinement(self):
+        # the correctly rounded float of each real root, with the
+        # multiplicities of sympy's CRootOf isolation and its 30-digit
+        # evalf; roots that round to one float are merged
+        for poly in _root_corpus():
+            assert real_roots(poly) == _crootof_roots(poly), poly
+
+    def test_interval_end_is_a_root(self):
+        # Poly.intervals gives (-1, -1/2) next to the exact root -1
+        p = sp.Poly(x * (x + 1) * (5 * x ** 2 + 5 * x + 1), x)
+        assert ((-1, -1), 1) in p.intervals()
+        assert real_roots(p) == [(-1.0, 1), ((-5 - math.sqrt(5)) / 10, 1),
+                                 ((-5 + math.sqrt(5)) / 10, 1), (0.0, 1)]
+
+    def test_halfway_root_rounds_to_even(self):
+        # 1 + 2**-53 lies halfway between 1 and the next float; bisection
+        # from a wide interval must find it exactly, not stop on a side
+        q = [2 ** 53, -(2 ** 53 + 1)]
+        assert _rounded_root(q, [2 ** 53], F(0), F(2)) == 1.0
+        q = [2 ** 53, -(2 ** 53 + 3)]         # 1 + 3 * 2**-53 rounds up
+        assert _rounded_root(q, [2 ** 53], F(0), F(2)) == 1 + 2 * 2 ** -52
+
+
+def _root_corpus():
+    """Exact polynomials for the root-isolation tests: seeded products of
+    small factors with repeated factors and rational roots, plus fixed
+    cases for interval ends that are roots, clustered roots and
+    coefficients above 2**1100."""
+    fixed = [
+        x * (x + 1) * (5 * x ** 2 + 5 * x + 1),
+        (x - 2) ** 2 * (x ** 2 - 2),
+        (2 * x - 1) ** 3 * (x ** 2 - 3) * (3 * x + 7),
+        (x ** 2 - 2) * (x ** 2 - 2 - F(1, 2 ** 60)),
+        (x - F(1, 3)) * (x - F(1, 3) - F(1, 10 ** 12)) * (x - F(1, 3) +
+                                                          F(1, 10 ** 12)),
+        (10 ** 6 * x ** 2 - 1) * (x ** 3 - 2),
+        (2 ** 1200 * x - 3) * (x ** 2 - 5) * (x + 2 ** 40),
+        2 ** 1150 * (x ** 3 - 3 * x + 1) * (7 * x - 9) ** 2,
+        x ** 2 - F(1, 2 ** 1100),
+    ]
+    rng = random.Random(7)
+    out = [sp.Poly(e, x) for e in fixed]
+    while len(out) < 60:
+        e = rng.choice([1, 2 ** 1150, F(1, 7)])
+        for _ in range(rng.randint(1, 4)):
+            f = sum(rng.randint(-9, 9) * x ** k
+                    for k in range(rng.randint(2, 4)))
+            e *= f ** rng.randint(1, 3)
+        poly = sp.Poly(e, x)
+        if poly.degree() > 0:
+            out.append(poly)
+    return out
+
+
+def _crootof_roots(poly):
+    out = []
+    for fct, mult in poly.factor_list()[1]:
+        for k in range(sp.Poly(fct).count_roots()):
+            out.append((float(sp.CRootOf(fct, k).evalf(30)), mult))
+    merged = []
+    for r, mult in sorted(out):
+        if merged and r == merged[-1][0]:
+            merged[-1] = (r, merged[-1][1] + mult)
+        else:
+            merged.append((r, mult))
+    return merged
 
 
 class TestNumericRank:

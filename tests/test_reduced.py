@@ -120,10 +120,9 @@ def test_polarised_quadrics_are_exact(systems):
             assert poly.monic() == ref.monic()
 
 
-def test_no_expression_path(monkeypatch, rng, type1_reference_design,
-                            type2_reference_design):
-    """DK and tracing eliminate on sp.Poly: they give the same answers
-    with sympy's expression-tree algebra patched to raise."""
+def _dk_and_trace_answers(rng, designs):
+    """Answers of solve_dk on a criterion-05 member and of the traces of
+    `designs`, as a callable for comparison under patches."""
     p = random_member(rng)
     lengths2 = forward_lengths2(p, lift_study(random_study(rng)))
 
@@ -131,15 +130,39 @@ def test_no_expression_path(monkeypatch, rng, type1_reference_design,
         dk = solve_dk(p, lengths2=lengths2)
         return ((dk.route, dk.variable, dk.pivots, dk.polynomial,
                  [s.params for s in dk.solutions]),
-                [trace(d, samples=40).samples
-                 for d in (type1_reference_design, type2_reference_design)])
+                [trace(d, samples=40).samples for d in designs])
+    return answers
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("expression path taken")
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden path taken")
+
+
+def test_no_expression_path(monkeypatch, rng, type1_reference_design,
+                            type2_reference_design):
+    """DK and tracing eliminate on sp.Poly: they give the same answers
+    with sympy's expression-tree algebra patched to raise."""
+    answers = _dk_and_trace_answers(
+        rng, (type1_reference_design, type2_reference_design))
     with monkeypatch.context() as mp:
         for name in ("expand", "together", "numer", "resultant", "gcd"):
-            mp.setattr(sp, name, forbidden)
+            mp.setattr(sp, name, _forbidden)
         guarded = answers()
     assert guarded == answers()
     assert guarded[0][3].degree() == 8
+
+
+def test_no_30_digit_refinement(monkeypatch, rng, type1_reference_design,
+                                type2_reference_design):
+    """DK and tracing round their real roots by exact bisection: they give
+    the same answers with sympy's real_roots and CRootOf evalf patched to
+    raise."""
+    answers = _dk_and_trace_answers(
+        rng, (type1_reference_design, type2_reference_design))
+    with monkeypatch.context() as mp:
+        mp.setattr(sp, "real_roots", _forbidden)
+        mp.setattr(sp.polys.rootoftools.ComplexRootOf, "_eval_evalf",
+                   _forbidden)
+        guarded = answers()
+    assert guarded == answers()
+    assert guarded[0][4]
