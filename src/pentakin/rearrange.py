@@ -9,6 +9,7 @@ consistent roots of d0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -131,10 +132,6 @@ class CubicCorrespondence:
     def polys(self):
         return (self.d0, self.d1, self.d2, self.d3)
 
-    def reduced_polys(self):
-        return tuple(sp.Poly(sp.cancel(d.as_expr() / self.gcd.as_expr()), A_SYM)
-                     for d in self.polys())
-
 
 @dataclass(frozen=True)
 class ExceptionalImage:
@@ -145,18 +142,18 @@ class ExceptionalImage:
     direction: tuple | None        # line direction; None if undetermined
 
 
-def _content_normalize(exprs):
-    polys = [sp.Poly(e, A_SYM) for e in exprs]
-    c = sp.Integer(0)
-    for q in polys:
-        for coef in q.all_coeffs():
-            c = sp.gcd(c, coef)
-    if c == 0:
+def _content_normalize(polys):
+    """The Cramer polynomials over ZZ: divided by the joint rational content
+    of all their coefficients, signed so that the first nonzero one has a
+    positive leading coefficient."""
+    coeffs = [c for q in polys for c in q.coeffs() if c]
+    if not coeffs:
         raise RearrangeError("all replacement polynomials vanish identically")
-    lead = next(q.LC() for q in polys if not q.is_zero)
-    if lead < 0:
+    c = sp.Rational(math.gcd(*(int(c.p) for c in coeffs)),
+                    math.lcm(*(int(c.q) for c in coeffs)))
+    if next(q.LC() for q in polys if not q.is_zero) < 0:
         c = -c
-    return [sp.Poly(q.as_expr() / c, A_SYM) for q in polys]
+    return [q.quo_ground(c).to_ring() for q in polys]
 
 
 def replacement_cubic(p: Pentapod) -> CubicCorrespondence:
@@ -188,8 +185,7 @@ def replacement_cubic(p: Pentapod) -> CubicCorrespondence:
     polys = _content_normalize([d0, *ds])
     g = polys[0]
     for q in polys[1:]:
-        g = sp.gcd(g, q)
-    g = sp.Poly(g, A_SYM)
+        g = g.gcd(q)
     return CubicCorrespondence(*polys, gcd=g, a_shift=a1, base_shift=M1,
                                affine_relation=ar, system=(M0, Mlin, r1),
                                axis_perm=perm)
@@ -230,16 +226,25 @@ def _system_affine_relation(a, M):
 
 
 def _cramer(M0, Mlin, r1):
-    a = A_SYM
-    Msym = sp.Matrix(3, 3, lambda i, j: sp.Rational(M0[i][j]) + a * sp.Rational(Mlin[i][j]))
-    rhs = sp.Matrix(3, 1, lambda i, _: a * sp.Rational(r1[i]))
-    d0 = sp.expand(Msym.det())
-    ds = []
-    for c in range(3):
-        Mc = Msym.copy()
-        Mc[:, c] = rhs
-        ds.append(sp.expand(Mc.det()))
-    return d0, ds
+    """Cramer polynomials of M(a) x = a r1 with M(a) = M0 + a Mlin: d0 =
+    det M(a), and d1..d3 the determinants with column c replaced by a r1,
+    by cofactor expansion on linear sp.Poly over QQ."""
+    M = [[_linear(Mlin[i][j], M0[i][j]) for j in range(3)] for i in range(3)]
+    rhs = [_linear(r1[i], 0) for i in range(3)]
+    ds = [_det3([[rhs[i] if j == c else M[i][j] for j in range(3)]
+                 for i in range(3)]) for c in range(3)]
+    return _det3(M), ds
+
+
+def _linear(c1, c0):
+    return sp.Poly.from_list([sp.QQ.convert(c1), sp.QQ.convert(c0)], A_SYM,
+                             domain=sp.QQ)
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _unpermute(ds, perm):
@@ -254,15 +259,13 @@ def sigma(c: CubicCorrespondence, a):
     ideal point of the locus, or an ExceptionalImage line marker."""
     av = exactify(a)
     asys = sp.Rational(av - c.a_shift)
-    vals = [sp.Rational(d.as_expr().subs(A_SYM, asys)) for d in c.polys()]
-    d0v, d1v, d2v, d3v = vals
-    if d0v != 0:
-        pt = tuple(Fraction(int((v / d0v).p), int((v / d0v).q)) + s
-                   for v, s in zip(vals[1:], c.base_shift))
-        return ProjPoint(Fraction(1), *pt)
-    if any(v != 0 for v in vals[1:]):
-        direction = tuple(Fraction(int(v.p), int(v.q)) for v in vals[1:])
-        return ProjPoint(Fraction(0), *direction)
+    d0v, *ds = (Fraction(int(v.p), int(v.q))
+                for v in (d.eval(asys) for d in c.polys()))
+    if d0v:
+        return ProjPoint(Fraction(1), *(v / d0v + s
+                                        for v, s in zip(ds, c.base_shift)))
+    if any(ds):
+        return ProjPoint(Fraction(0), *ds)
     return _exceptional_image(c, av, asys)
 
 
@@ -334,8 +337,7 @@ class PentapodClass:
 def classify_type(p: Pentapod) -> PentapodClass:
     """Planar pencil, Types 1-4 (cubic locus splitting) or Type 5 (affine
     relation).  Raises ArchSingularInputError on architecturally singular
-    input."""
-    require_member(p)
+    input (through planar_vertex or replacement_cubic)."""
     if p.is_base_planar():
         return PentapodClass(kind="planar_pencil", vertex=planar_vertex(p))
     corr = replacement_cubic(p)
@@ -403,11 +405,8 @@ def _mannheim_image(corr: CubicCorrespondence):
     if corr.affine_relation:
         return None
     n = corr.d0.degree()
-    lead = [d.as_expr().coeff(A_SYM, n) for d in corr.polys()]
-    if lead[0] == 0:
-        return None
-    return tuple(Fraction(int(sp.Rational(l / lead[0]).p),
-                          int(sp.Rational(l / lead[0]).q)) + s
+    lead = [int(d.nth(n)) for d in corr.polys()]
+    return tuple(Fraction(l, lead[0]) + s
                  for l, s in zip(lead[1:], corr.base_shift))
 
 

@@ -19,13 +19,15 @@ import numpy as np
 import sympy as sp
 
 from .archsing import WrongBranchError, _cross, _dot, _sub
-from .geom import ProjPoint
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
                      phi_gradient, phi_residuals)
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
-                        require_member, A_SYM, _exceptional_points)
+                        require_member, _exceptional_points)
 from .reduced import Reduction, choose_pivots, first_resultants
+from .tol import (CELL_MERGE, LEFTOVER_IMAG_CUT, LEFTOVER_RESIDUAL_FLOOR,
+                  LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
+                  SAMPLE_RESIDUAL_SCALE)
 
 _I = GaussRat(0, 1)
 
@@ -227,154 +229,99 @@ def _as_gauss(x) -> GaussRat:
 def duporcq_check(p: Pentapod, tol: float = 1e-9) -> Duporcq:
     """Geometric levels of the replacement-locus condition for Types 1/2/5:
     FIRST_ONLY when the locus lies on a cylinder of revolution, FULL when
-    it is a straight cubic circle (circle + orthogonal line for Type 2)."""
-    require_member(p)
-    kind = "planar_pencil"
-    if not p.is_base_planar():
+    it is a straight cubic circle (circle + orthogonal line for Type 2).
+    The decision is exact and takes no tolerance; `tol` is ignored."""
+    if p.is_base_planar():
+        require_member(p)
+        kind = "planar_pencil"
+    else:
         corr = replacement_cubic(p)
         kind = cubic_kind(corr)
-        if kind in ("type1", "type5"):
-            return _duporcq_cubic(corr)
-        if kind == "type2":
-            return _duporcq_conic(corr)
+        if kind in ("type1", "type2", "type5"):
+            return _duporcq_level(corr, kind)
     raise SelfMotionError(
         f"Duporcq levels are defined for types 1, 2, 5; got {kind}")
 
 
-def _duporcq_cubic(corr: CubicCorrespondence) -> Duporcq:
-    """Cubic locus: one real ideal direction W, conjugate complex ideal
-    directions D.  FULL iff D.D = 0 and D.W = 0; FIRST iff
-    (D.D)(W.W) = (D.W)^2."""
-    d0, d1, d2, d3 = (q.as_expr() for q in corr.polys())
-    a = A_SYM
-    if corr.affine_relation:
-        # the real ideal direction is the image of the platform ideal point
-        deg = 3
-        W = tuple(sp.Poly(dk, a).as_expr().coeff(a, deg) for dk in (d1, d2, d3))
-        if all(c == 0 for c in W):
-            return Duporcq.NONE
-        qpoly = sp.Poly(d0, a)
-    else:
-        d0p = sp.Poly(d0, a)
-        if d0p.degree() != 3:
-            return Duporcq.NONE
-        fac = [(f, m) for f, m in sp.factor_list(d0, a)[1]]
-        lin = [f for f, m in fac for _ in range(m) if f.as_poly(a).degree() == 1]
-        quad = [f for f, _ in fac if f.as_poly(a).degree() == 2]
-        if len(quad) == 1 and len(lin) == 1:
-            q = quad[0].as_poly(a)
-            if sp.discriminant(q.as_expr(), a) >= 0:
-                return Duporcq.NONE  # three real ideal points
-            c1, c0 = lin[0].as_poly(a).all_coeffs()
-            r = -c0 / c1
-            W = tuple(sp.Rational(dk.subs(a, r)) for dk in (d1, d2, d3))
-            if all(c == 0 for c in W):
-                return Duporcq.NONE
-            qpoly = q
-        elif not lin and not quad:
-            # irreducible cubic: numeric evaluation
-            return _duporcq_numeric(d0, (d1, d2, d3))
-        else:
+_Z, _R = sp.symbols("z r")
+
+
+def _duporcq_level(corr: CubicCorrespondence, kind: str) -> Duporcq:
+    """Exact level from the conjugate complex ideal directions D of the
+    locus and its real axis direction W: FULL iff D.D = 0 and D.W = 0,
+    FIRST_ONLY iff (D.D)(W.W) = (D.W)^2.
+
+    D = (d1, d2, d3)(z) at a root z of q.  Per branch:
+      affine relation: W = the a^3 coefficients of d1..d3, q = d0;
+      Type 2: W = the direction G of the exceptional line, q = d0/gcd,
+        and d1..d3 divided by gcd;
+      Type 1: W = (d1, d2, d3)(r) at the real root r of f_r, the odd-degree
+        factor of d0, and q = (d0(z) - d0(r)) / (z - r).
+    Each test is the normal form of an sp.Poly in (z, r) modulo {q, f_r},
+    a Groebner basis since the leading terms z^2 and r^k are coprime.  It
+    is zero iff the polynomial vanishes at the (real, complex) pair of
+    roots: the conjugate of a complex root is the other root of q, and for
+    an irreducible cubic of negative discriminant the Galois group S3
+    permutes the ordered pairs of distinct roots transitively.  For Type 2
+    the conic's plane has the ideal line spanned by D and conj(D), so
+    D.G = 0 makes the line orthogonal to that plane and D.D = 0 makes the
+    conic a circle.
+    """
+    ds = (corr.d1, corr.d2, corr.d3)
+    f_r = None
+    if kind == "type1":
+        d0 = corr.d0
+        if d0.degree() != 3 or d0.discriminant() >= 0:
             return Duporcq.NONE  # three real or repeated ideal points
-    if qpoly.degree() != 2 or sp.discriminant(qpoly.as_expr(), a) >= 0:
+        f_r = _lift(next(f for f, _ in d0.factor_list()[1] if f.degree() % 2),
+                    _R).reorder(_R, _Z)
+        W = [_lift(d, _R) for d in ds]
+        q = sp.Poly.from_dict(
+            {(i, k - 1 - i): c for (k,), c in d0.terms() for i in range(k)},
+            _Z, _R, domain=sp.QQ)
+    else:
+        if kind == "type5":
+            W = [_lift(d.nth(3)) for d in ds]
+            q = corr.d0
+        else:
+            G = _exceptional_points(corr)[0].direction
+            if G is None:
+                return Duporcq.NONE
+            W = [_lift(c) for c in G]
+            q = corr.d0.exquo(corr.gcd)
+            ds = tuple(d.exquo(corr.gcd) for d in ds)
+        if q.degree() != 2 or q.discriminant() >= 0:
+            return Duporcq.NONE  # no conjugate complex ideal points
+        q = _lift(q)
+
+    def vanishes(P):
+        P = P.rem(q)   # the z^2 coefficient of q is a nonzero rational
+        if f_r is not None:
+            P = P.reorder(_R, _Z).rem(f_r)
+        return P.is_zero
+
+    if all(vanishes(c) for c in W):
         return Duporcq.NONE
-    return _cylinder_levels(qpoly, (d1, d2, d3), W)
-
-
-def _cylinder_levels(qpoly, dk_exprs, W) -> Duporcq:
-    """Exact divisibility tests: for each complex ideal root of qpoly, the
-    direction D = (d1, d2, d3) is tested against the axis direction W."""
-    a = A_SYM
-    d1, d2, d3 = dk_exprs
-    Wx, Wy, Wz = (sp.Rational(c) for c in W)
-    WW = Wx * Wx + Wy * Wy + Wz * Wz
-    u = sp.rem(sp.expand(d1 * d1 + d2 * d2 + d3 * d3), qpoly.as_expr(), a)
-    v = sp.rem(sp.expand(d1 * Wx + d2 * Wy + d3 * Wz), qpoly.as_expr(), a)
-    if sp.expand(u) == 0 and sp.expand(v) == 0:
+    D = [_lift(d) for d in ds]
+    DD = sum(d * d for d in D)
+    DW = sum(d * w for d, w in zip(D, W))
+    if vanishes(DD) and vanishes(DW):
         return Duporcq.FULL
-    T = sp.rem(sp.expand((d1 * d1 + d2 * d2 + d3 * d3) * WW
-                         - (d1 * Wx + d2 * Wy + d3 * Wz) ** 2),
-               qpoly.as_expr(), a)
-    if sp.expand(T) == 0:
+    if vanishes(DD * sum(w * w for w in W) - DW * DW):
         return Duporcq.FIRST_ONLY
     return Duporcq.NONE
 
 
-def _duporcq_numeric(d0, dk_exprs, tol: float = 1e-25) -> Duporcq:
-    import mpmath
-    a = A_SYM
-    with mpmath.workdps(40):
-        coeffs = [mpmath.mpf(str(sp.Rational(c)))
-                  for c in sp.Poly(d0, a).all_coeffs()]
-        rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
-        real = [r for r in rts if abs(mpmath.im(r)) < 1e-25]
-        cplx = [r for r in rts if mpmath.im(r) > 1e-25]
-        if len(real) != 1 or len(cplx) != 1:
-            return Duporcq.NONE
-        dk = [sp.lambdify(a, e, "mpmath") for e in dk_exprs]
-        W = [mpmath.mpc(f(real[0])) for f in dk]
-        D = [mpmath.mpc(f(cplx[0])) for f in dk]
-        # normalize projectively so the residual tests are scale-free
-        nD = mpmath.sqrt(sum(abs(z) ** 2 for z in D))
-        nW = mpmath.sqrt(sum(abs(z) ** 2 for z in W))
-        if nD == 0 or nW == 0:
-            return Duporcq.NONE
-        D = [z / nD for z in D]
-        W = [z / nW for z in W]
-        DD = sum(z * z for z in D)
-        DW = sum(z * wv for z, wv in zip(D, W))
-        WW = sum(wv * wv for wv in W)
-        if abs(DD) <= tol and abs(DW) <= tol:
-            return Duporcq.FULL
-        if abs(DD * WW - DW * DW) <= tol:
-            return Duporcq.FIRST_ONLY
-        return Duporcq.NONE
-
-
-def _duporcq_conic(corr: CubicCorrespondence) -> Duporcq:
-    """Type 2: conic on a cylinder of revolution with the exceptional line
-    as a generator; FULL when the conic is a circle and the line is
-    orthogonal to its plane."""
-    a = A_SYM
-    red = corr.reduced_polys()
-    e0, e1, e2, e3 = (q.as_expr() for q in red)
-    exc = _exceptional_points(corr)[0]
-    if exc.direction is None:
-        return Duporcq.NONE
-    G = tuple(sp.Rational(c) for c in exc.direction)
-    q0 = sp.Poly(e0, a)
-    if q0.degree() != 2 or sp.discriminant(e0, a) >= 0:
-        return Duporcq.NONE  # not an ellipse/circle
-    level = _cylinder_levels(q0, (e1, e2, e3), G)
-    if level is Duporcq.NONE:
-        return Duporcq.NONE
-    # FULL additionally needs the line orthogonal to the conic's plane
-    normal = _conic_plane_normal(corr)
-    if normal is None:
-        return Duporcq.FIRST_ONLY
-    DD = sp.expand(sp.rem(sp.expand(e1 * e1 + e2 * e2 + e3 * e3), e0, a))
-    is_circle = DD == 0
-    ortho = all(c == 0 for c in _cross(G, normal))
-    return Duporcq.FULL if (is_circle and ortho) else Duporcq.FIRST_ONLY
-
-
-def _conic_plane_normal(corr: CubicCorrespondence):
-    from .rearrange import sigma
-    pts = []
-    t = 0
-    while len(pts) < 3 and t < 50:
-        try:
-            pt = sigma(corr, Fraction(t))
-        except Exception:
-            t += 1
-            continue
-        if isinstance(pt, ProjPoint) and not pt.is_ideal:
-            pts.append(pt.affine())
-        t += 1
-    if len(pts) < 3:
-        return None
-    n = _cross(_sub(pts[1], pts[0]), _sub(pts[2], pts[0]))
-    return n if any(n) else None
+def _lift(x, gen=_Z):
+    """A univariate sp.Poly (in `gen`) or a rational number as an sp.Poly in
+    (z, r) over QQ."""
+    if not isinstance(x, sp.Poly):
+        return sp.Poly.from_dict({(0, 0): sp.QQ.convert(x)}, _Z, _R,
+                                 domain=sp.QQ)
+    pos = (_Z, _R).index(gen)
+    return sp.Poly.from_dict(
+        {tuple(k if j == pos else 0 for j in range(2)): c
+         for (k,), c in x.terms()}, _Z, _R, domain=sp.QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +477,8 @@ def _complete_samples(red, x2, x3, tol):
     cands = [(red.Tn @ np.array([np.ones_like(x3), sign * x1, x2, x3])).real
              for sign in (1.0, -1.0)]
     errs = [np.abs(phi_residuals(m)).max(axis=0) for m in cands]
-    ok = [(err <= tol * 10) & (rad >= -tol) for err in errs]
+    ok = [(err <= tol * SAMPLE_RESIDUAL_SCALE) & (rad >= -tol)
+          for err in errs]
     minus = ok[1] & (~ok[0] | (errs[1] < errs[0]))
     return np.where(minus, cands[1], cands[0]), ok[0] | ok[1]
 
@@ -555,7 +503,7 @@ def _merge_cells(cells):
     cells.sort()
     merged = [list(cells[0])]
     for lo, hi in cells[1:]:
-        if lo <= merged[-1][1] + 1e-12:
+        if lo <= merged[-1][1] + CELL_MERGE:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -600,10 +548,11 @@ def _solve_leftover(red, x1, x2, tol):
     for i in range(len(x1)):
         sols = []
         for r in np.roots(np.array([a, b[i], c[i]], dtype=complex)):
-            if abs(r.imag) > 1e-8 * (1 + abs(r)):
+            if abs(r.imag) > LEFTOVER_IMAG_CUT * (1 + abs(r)):
                 continue
             m = P[:, i] + r.real * D
-            if np.abs(phi_residuals(m)).max() <= max(tol * 100, 1e-7):
+            if np.abs(phi_residuals(m)).max() <= max(
+                    tol * LEFTOVER_RESIDUAL_SCALE, LEFTOVER_RESIDUAL_FLOOR):
                 sols.append(MotionParams(*m.tolist()))
         out.append(sols)
     return out
@@ -832,7 +781,7 @@ def _ct_result(p, avals, V, e1, e2, alpha, beta, force_unit=False):
     h = None
     for av, Vi in zip(avals, V):
         wv = tuple(to_float(av) * uc - to_float(vc) for uc, vc in zip(u, Vi))
-        if any(abs(c) > 1e-12 for c in wv):
+        if any(abs(c) > LEG_VECTOR_ZERO for c in wv):
             h = wv
             break
     if h is None:

@@ -1,11 +1,12 @@
-"""Float thresholds of the direct kinematics, each with its origin.
+"""Float thresholds, each with its origin.
 
-Exact stages take no tolerance; these apply where floats enter DK: the
-np.roots candidates of back-substitution, the Newton polish and the cut
-between real and complex poses.  A residual here is the largest quadric
-residual of a configuration x divided by 1 + |x|^2, so every threshold is
-relative to the scale of the point.  EPS is float64's machine epsilon,
-2.2e-16.
+Exact stages take no tolerance; these apply where floats enter.  In direct
+kinematics: the np.roots candidates of back-substitution, the Newton polish
+and the cut between real and complex poses; there a residual is the
+largest quadric residual of a configuration x divided by 1 + |x|^2, so
+every threshold is relative to the scale of the point.  In self-motion
+tracing: the per-sample completions of the configuration curve and the
+circular-translation direction.  EPS is float64's machine epsilon, 2.2e-16.
 """
 
 #: Float Newton stops once the scaled residual is at float64 round-off
@@ -35,3 +36,41 @@ IMAG_CUT = 1e-7
 #: Two polished poses closer than this, relative to the scale, are one
 #: pose (sqrt(EPS) as for COMPLETION_RESIDUAL).
 POSE_MERGE = 1e-8
+
+# ---------------------------------------------------------------------------
+# self-motion tracing and circular translation
+# ---------------------------------------------------------------------------
+
+#: Two real intervals of a Type 1/2 branch discriminant are one when the gap
+#: between them is at most this.  Neighbouring cells share one float root
+#: as their bound, so their gap is exactly 0; the slack, a few thousand EPS
+#: at |t| <= 1, only absorbs round-off.
+CELL_MERGE = 1e-12
+
+#: A Type 1/2 sample is kept when its largest quadric residual is at most
+#: this many times the caller's tol: x2 comes from the quadratic formula and
+#: x1 from a square root, each of which loses up to sqrt(EPS) next to a
+#: branch point, so the filter sits one order above the tol.
+SAMPLE_RESIDUAL_SCALE = 10
+
+#: A Type 5 sample's root of the quadratic in the leftover coordinate is
+#: real when its imaginary part is at most this relative to 1 + |root|:
+#: about 2/3 sqrt(EPS), the order to which np.roots finds a double
+#: (tangent) root.
+LEFTOVER_IMAG_CUT = 1e-8
+
+#: A Type 5 configuration is kept when its largest quadric residual is at
+#: most this many times the caller's tol, and never below
+#: LEFTOVER_RESIDUAL_FLOOR: the real part of a near-double root carries an
+#: error of order sqrt(EPS), which the other two quadrics see to first
+#: order.
+LEFTOVER_RESIDUAL_SCALE = 100
+
+#: The lower bound of the Type 5 residual filter (about 7 sqrt(EPS), as for
+#: IMAG_CUT).
+LEFTOVER_RESIDUAL_FLOOR = 1e-7
+
+#: A float leg vector a_i u - (M_i - M_1) of a circular translation is zero
+#: when every component is at most this: it is formed from exact inputs of
+#: order one, so a nonzero vector is far above the few-EPS round-off.
+LEG_VECTOR_ZERO = 1e-12

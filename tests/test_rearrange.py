@@ -216,6 +216,22 @@ class TestClassifyType:
             classify_type(p)
         assert exc.value.verdict.singular
 
+    def test_require_member_runs_once(self, monkeypatch,
+                                      type1_reference_pentapod):
+        import pentakin.rearrange as rearrange
+        calls = []
+        original = rearrange.require_member
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(rearrange, "require_member", counted)
+        for p in (type1_reference_pentapod, finite_vertex_pentapod()):
+            calls.clear()
+            classify_type(p)
+            assert len(calls) == 1
+
     def test_relabeling_invariance(self, rng, type1_reference_pentapod):
         legs = list(type1_reference_pentapod.legs)
         rng.shuffle(legs)

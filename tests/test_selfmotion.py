@@ -6,7 +6,7 @@ import pytest
 from conftest import random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, stretched_fiber_pentapod,
-                     type4_pentapod)
+                     type4_pentapod, type5_parallel_lines_pentapod)
 from pentakin.archsing import WrongBranchError
 from pentakin.kinmap import Leg, Pentapod, displacement, phi_residuals
 from pentakin.polyalg import GaussRat, exactify, to_float
@@ -131,15 +131,80 @@ class TestDuporcq:
         assert duporcq_check(type1_reference_pentapod) is Duporcq.FULL
         assert duporcq_check(cylinder_only_pentapod(2)) is Duporcq.FIRST_ONLY
 
-    def test_numeric_level_keeps_mpmath_precision(self):
+    def test_irreducible_cubic_level_is_exact(self, monkeypatch, rng):
+        # an irreducible d0 (the 2nd to 4th draws) is decided by normal
+        # forms, with no float root finding or lambdified evaluation
         import mpmath
         import sympy as sp
-        from pentakin.rearrange import A_SYM as a
-        from pentakin.selfmotion import _duporcq_numeric
-        before = mpmath.mp.dps
-        # irreducible cubic: one real and two complex ideal points
-        _duporcq_numeric(a ** 3 - 2, (a, a * a, sp.Integer(1)))
-        assert mpmath.mp.dps == before
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric Duporcq path taken")
+
+        monkeypatch.setattr(sp, "lambdify", forbidden)
+        monkeypatch.setattr(mpmath, "polyroots", forbidden)
+        for _ in range(5):
+            assert duporcq_check(random_member(rng)) is Duporcq.NONE
+
+    def test_require_member_runs_once(self, monkeypatch,
+                                      type1_reference_pentapod):
+        import pentakin.rearrange as rearrange
+        import pentakin.selfmotion as selfmotion
+        calls = []
+        original = rearrange.require_member
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(rearrange, "require_member", counted)
+        monkeypatch.setattr(selfmotion, "require_member", counted)
+        assert duporcq_check(type1_reference_pentapod) is Duporcq.FULL
+        assert len(calls) == 1
+        with pytest.raises(SelfMotionError, match="planar_pencil"):
+            duporcq_check(ar_planar_pentapod())
+        assert len(calls) == 2
+
+
+def _relabelled(p):
+    return Pentapod(tuple(reversed(p.legs)))
+
+
+def _moved(p):
+    # rational rotation (cos, sin) = (3/5, 4/5) about z plus a shift
+    c, s = F(3, 5), F(4, 5)
+    return Pentapod(tuple(
+        Leg(leg.a, (c * leg.base[0] - s * leg.base[1] + 1,
+                    s * leg.base[0] + c * leg.base[1] - 2, leg.base[2] + 3))
+        for leg in p.legs))
+
+
+def _platform_shifted(p):
+    return Pentapod(tuple(Leg(leg.a + F(7, 3), leg.base) for leg in p.legs))
+
+
+@pytest.mark.parametrize("make, level", [
+    ("type1", Duporcq.FULL),
+    ("type2", Duporcq.FULL),
+    ("cylinder1", Duporcq.FIRST_ONLY),
+    ("cylinder2", Duporcq.FIRST_ONLY),
+    ("cylinder5", Duporcq.FIRST_ONLY),
+    ("parallel5", Duporcq.NONE),
+])
+def test_duporcq_invariance(make, level, type1_reference_pentapod,
+                            type2_reference_design):
+    """The level is a property of the geometry: it survives leg
+    relabelling, a rigid motion of the base and a platform shift."""
+    from helpers import legs_from_constraints
+    p = {"type1": lambda: type1_reference_pentapod,
+         "type2": lambda: Pentapod(tuple(legs_from_constraints(
+             type2_reference_design.constraints(),
+             ((0, 1), 1, -1, 2, F(1, 2))))),
+         "cylinder1": lambda: cylinder_only_pentapod(1),
+         "cylinder2": lambda: cylinder_only_pentapod(2),
+         "cylinder5": lambda: cylinder_only_pentapod(5),
+         "parallel5": type5_parallel_lines_pentapod}[make]()
+    for q in (p, _relabelled(p), _moved(p), _platform_shifted(p)):
+        assert duporcq_check(q) is level
 
 
 class TestReality:
