@@ -20,6 +20,7 @@ from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
 from .polyalg import (GaussRat, exactify, is_exact, numeric_rank, to_complex,
                       to_sympy)
 from .reduced import Reduction, choose_pivots, polarise
+from .tol import BOND_SAME, W_CONSTANT_ZERO
 
 _FREE_SYMS = sp.symbols("u v w")
 
@@ -287,7 +288,7 @@ def _solve_for_w(conics, u0, v0):
         conics, u0, v0 = _numeric(conics), to_complex(u0), to_complex(v0)
     polys = []
     for A, B, C in (_in_w(q, u0, v0) for q in conics):
-        if not exact and not (A or B) and abs(C) < 1e-10:
+        if not exact and not (A or B) and abs(C) < W_CONSTANT_ZERO:
             C = 0
         polys.append((A, B, C))
     if not any(any(p) for p in polys):
@@ -347,7 +348,7 @@ def _normalize_and_dedupe(bonds):
     return [(mp_, m, e) for (_, mp_, (m, e)) in out]
 
 
-def _close(k1, k2, tol=1e-8):
+def _close(k1, k2, tol=BOND_SAME):
     return all(abs(a - b) <= tol * (1 + abs(a)) for a, b in zip(k1, k2))
 
 
@@ -367,7 +368,7 @@ def _pair_conjugates(entries):
     return bonds
 
 
-def _proj_same(m1: MotionParams, m2: MotionParams, tol=1e-8) -> bool:
+def _proj_same(m1: MotionParams, m2: MotionParams, tol=BOND_SAME) -> bool:
     a = [to_complex(c) for c in m1.coords()]
     b = [to_complex(c) for c in m2.coords()]
     cross = [a[i] * b[j] - a[j] * b[i]

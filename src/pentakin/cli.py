@@ -23,6 +23,7 @@ from .polyalg import GaussRat, exactify, to_float
 from .rearrange import ArchSingularInputError, classify_type
 from .selfmotion import (SelfMotionError, real_legs_from_design, reality,
                          synth_leg_params, trace)
+from .tol import DISPLACEMENT_CHECK
 
 log = logging.getLogger("pentakin")
 
@@ -192,6 +193,8 @@ def cmd_classify(args):
 def cmd_dk(args):
     p = load_geometry(args.geometry)
     lengths = _parse_list(args.lengths) if args.lengths else None
+    if lengths is not None and len(lengths) != 5:
+        raise CliError(_EXIT_BAD_INPUT, "--lengths: need 5 leg lengths")
     out = solve_dk(p, lengths=lengths, tol=args.tol)
     poly = out.polynomial
     doc = {
@@ -304,7 +307,7 @@ def _write_trace_csv(path, tr, track):
         m = s.params
         row = [s.t, m.x1, m.x2, m.x3, m.y1, m.y2, m.y3]
         for a in track:
-            row.extend(displacement(m, to_float(a), tol=1e-6))
+            row.extend(displacement(m, to_float(a), tol=DISPLACEMENT_CHECK))
         lines.append(",".join(f"{float(v):.17g}" for v in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -22,8 +22,9 @@ from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
 from .polyalg import exactify, real_roots, to_float
 from .rearrange import require_member
 from .reduced import Reduction, choose_pivots, first_resultants
-from .tol import (COMPLETION_RESIDUAL, IMAG_CUT, MP_POLISH_SWITCH,
-                  NEWTON_STOP, POSE_MERGE, PRE_NEWTON_GATE)
+from .tol import (COMPLETION_RESIDUAL, DISPLACEMENT_CHECK, IMAG_CUT,
+                  MP_POLISH_STOP, MP_POLISH_SWITCH, NEWTON_STOP, POSE_MERGE,
+                  PRE_NEWTON_GATE)
 
 _XS = sp.symbols("q1 q2 q3")
 _FLOAT_BITS = 1000          # see _to_complex
@@ -45,7 +46,7 @@ class DKResult:
     polynomial: sp.Poly           # univariate elimination polynomial (exact)
     variable: str                 # which motion coordinate it eliminates to
     solutions: tuple              # real configurations
-    route: str                    # "linear-x1" | "cascade"
+    route: str                    # "cascade" | "cascade-rot<n>"
     pivots: tuple                 # coordinate names solved linearly
 
     @property
@@ -58,9 +59,10 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     """Solve the direct kinematics for the given leg lengths.
 
     The five sphere conditions are solved exactly for five coordinates in
-    the x0 = 1 chart; the three image-variety quadrics are then eliminated
-    by resultants to one exact univariate polynomial (degree <= 8 after
-    extraneous factors are removed by back-substitution filtering).
+    the x0 = 1 chart; one exact elimination, the gcd of the pairwise
+    resultants of the quadrics' first resultants, gives a univariate
+    polynomial of degree <= 8 with no factorisation.  Real roots whose
+    back-substitution passes the residual filter give the solutions.
     """
     legs = _legs_with_lengths(p, lengths, lengths2)
     rows = [[exactify(c) for c in sphere_condition(leg).coeffs] for leg in legs]
@@ -76,37 +78,34 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
         order = _XS[rot:] + _XS[:rot]
         quads = tuple(q.reorder(*order) for q in quadrics)
         xis = first_resultants(quads)
-        if quads[2].degree() == 1:
-            # Q3 = c1 f1 + c0: Res(Qk, Q3) is +-c1^d Qk(-c0 / c1) for Qk of
-            # degree d in f1, so one more resultant in f2 eliminates
-            route, elim = "linear-x1", xis[0].resultant(xis[1])
-        else:
-            route, elim = "cascade", _eliminate_cascade(xis)
+        elim = _eliminate_cascade(xis)
         if elim is not None and elim.degree() > 0:
-            if rot:
-                route += f"-rot{rot}"
+            route = f"cascade-rot{rot}" if rot else "cascade"
             break
     else:
         raise DirkinError("elimination collapsed; degenerate geometry")
     # back-substitution data: Res(Q1, Q3) in (f2, f3) and Q1 in (f1, f2, f3)
     back = (_dense(xis[1]), _dense(quads[0]), order)
-    elim = _drop_extraneous(_primitive(elim), red, back, tol)
+    elim = _primitive(elim)
     sols = _real_solutions(elim, red, back, legs, tol)
     pivot_names = tuple(COORD_NAMES[c] for c in pivots)
     return DKResult(elim, str(order[2]), tuple(sols), route, pivot_names)
 
 
 def _legs_with_lengths(p, lengths, lengths2):
-    if lengths2 is not None:
-        return [Leg(l.a, l.base, r2) for l, r2 in zip(p.legs, lengths2)]
-    if lengths is not None:
-        return [Leg.from_length(l.a, l.base, r) for l, r in zip(p.legs, lengths)]
-    if all(l.r2 is not None for l in p.legs):
-        return list(p.legs)
-    raise DirkinError("leg lengths are required")
+    if lengths is None and lengths2 is None:
+        if all(l.r2 is not None for l in p.legs):
+            return list(p.legs)
+        raise DirkinError("leg lengths are required")
+    given = list(lengths if lengths2 is None else lengths2)
+    if len(given) != 5:
+        raise DirkinError(f"need 5 leg lengths, got {len(given)}")
+    make_leg = Leg.from_length if lengths2 is None else Leg
+    return [make_leg(l.a, l.base, v) for l, v in zip(p.legs, given)]
 
 
 def _eliminate_cascade(xis):
+    """The gcd of the nonzero pairwise resultants of `xis`, or None."""
     ups = [u for a, b in itertools.combinations(xis, 2)
            if not (a.is_zero or b.is_zero or (u := a.resultant(b)).is_zero)]
     return functools.reduce(sp.Poly.gcd, ups) if ups else None
@@ -117,17 +116,6 @@ def _primitive(poly: sp.Poly) -> sp.Poly:
     that is a rational multiple of `poly`."""
     prim = poly.clear_denoms(convert=True)[1].primitive()[1]
     return -prim if prim.LC() < 0 else prim
-
-
-def _drop_extraneous(elim, red, back, tol):
-    """Keep only irreducible factors whose roots back-substitute to genuine
-    configurations."""
-    kept = sp.Poly(1, *elim.gens)
-    for fct, mult in elim.factor_list()[1]:
-        roots = np.roots(_to_complex(fct.all_coeffs()))
-        if any(_complete(r, red, back, tol) for r in roots):
-            kept *= fct ** mult
-    return _primitive(kept)
 
 
 def _to_complex(coeffs):
@@ -248,9 +236,7 @@ def _polish(red, point, steps: int = 30):
     best = _newton(F_, J_, np.array(point, dtype=complex), steps)
     scale = 1 + max(abs(v) for v in best[1]) ** 2
     if best[0] > MP_POLISH_SWITCH * scale:
-        refined = _polish_mp(red, best[1])
-        if refined is not None:
-            return refined
+        return _polish_mp(red, best[1])
     return best[1]
 
 
@@ -267,7 +253,7 @@ def _polish_mp(red, point, steps: int = 40):
             r = max(abs(v) for v in f)
             if best is None or r < best[0]:
                 best = (r, list(x))
-            if r < mpmath.mpf("1e-30"):
+            if r < MP_POLISH_STOP:
                 break
             try:
                 J = mpmath.matrix(phi_gradient(c)) * T[:, 1:4]
@@ -275,8 +261,6 @@ def _polish_mp(red, point, steps: int = 40):
             except Exception:
                 break
             x = [xv - dv for xv, dv in zip(x, dx)]
-        if best is None:
-            return None
         return tuple(complex(v) for v in best[1])
 
 
@@ -310,7 +294,7 @@ def _real_solutions(elim, red, back, legs, tol):
 def _leg_lengths(m: MotionParams, legs):
     out = []
     for leg in legs:
-        P = displacement(m, to_float(leg.a), tol=1e-6)
+        P = displacement(m, to_float(leg.a), tol=DISPLACEMENT_CHECK)
         out.append(float(np.sqrt(sum((float(pc) - to_float(bc)) ** 2
                                      for pc, bc in zip(P, leg.base)))))
     return out

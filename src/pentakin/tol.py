@@ -6,7 +6,8 @@ and the cut between real and complex poses; there a residual is the
 largest quadric residual of a configuration x divided by 1 + |x|^2, so
 every threshold is relative to the scale of the point.  In self-motion
 tracing: the per-sample completions of the configuration curve and the
-circular-translation direction.  EPS is float64's machine epsilon, 2.2e-16.
+circular-translation direction.  In the bond solve: the numeric roots of
+bonds outside QQ(i).  EPS is float64's machine epsilon, 2.2e-16.
 """
 
 #: Float Newton stops once the scaled residual is at float64 round-off
@@ -28,6 +29,10 @@ COMPLETION_RESIDUAL = 1e-8
 #: is too ill-conditioned for float64, and the 40-digit mpmath polish runs.
 MP_POLISH_SWITCH = 1e-12
 
+#: The 40-digit mpmath polish stops below this residual: ten digits above
+#: its working precision, and far below float64's round-off.
+MP_POLISH_STOP = 1e-30
+
 #: A polished pose is real when every coordinate's imaginary part is at
 #: most this relative to its size: about 7 sqrt(EPS), since a tangent
 #: (double) real pose is known only to sqrt(EPS).
@@ -36,6 +41,12 @@ IMAG_CUT = 1e-7
 #: Two polished poses closer than this, relative to the scale, are one
 #: pose (sqrt(EPS) as for COMPLETION_RESIDUAL).
 POSE_MERGE = 1e-8
+
+#: `kinmap.displacement` takes a float pose within this scaled residual of
+#: the image variety: two orders above the filters that DK poses and trace
+#: samples pass at the default tol (about sqrt(EPS)), so that only a point
+#: off the variety fails.
+DISPLACEMENT_CHECK = 1e-6
 
 # ---------------------------------------------------------------------------
 # self-motion tracing and circular translation
@@ -74,3 +85,17 @@ LEFTOVER_RESIDUAL_FLOOR = 1e-7
 #: when every component is at most this: it is formed from exact inputs of
 #: order one, so a nonzero vector is far above the few-EPS round-off.
 LEG_VECTOR_ZERO = 1e-12
+
+# ---------------------------------------------------------------------------
+# bonds
+# ---------------------------------------------------------------------------
+
+#: Numeric bond solve: a conic's constant term on a line where its w terms
+#: vanish is zero below this, about 1e5 times its round-off (a few EPS for
+#: coefficients of order one).
+W_CONSTANT_ZERO = 1e-10
+
+#: Two numeric bonds, compared coordinatewise or projectively, are one
+#: within this relative error: sqrt(EPS), to which np.roots finds the double
+#: root of a tangent contact.
+BOND_SAME = 1e-8

@@ -192,3 +192,46 @@ class TestTolerance:
         for name in ("dk", "bonds", "trace"):
             tol = next(a for a in sub[name]._actions if a.dest == "tol")
             assert tol.default == 1e-9 and "ignored" not in tol.help
+
+
+def _reference_with(**changes):
+    doc = json.loads(json.dumps(REFERENCE_GEOMETRY))
+    doc.update(changes)
+    return doc
+
+
+# degenerate but well-formed geometries, and the exit code each must give
+_COINCIDENT = _reference_with(
+    platform=["0", "0", "3", "-1", "-2"],
+    base=[["0", "0", "0"]] * 2 + REFERENCE_GEOMETRY["base"][2:],
+    lengths=[2, 2, 5, 3, 4])
+_ZERO_LENGTH = _reference_with(lengths=[0, 1, 5, 3, 4])
+_NO_REAL_POSE = _reference_with(lengths=[100, "1/100", 100, "1/100", 100])
+
+
+class TestContract:
+
+    @pytest.mark.parametrize("command",
+                             ["dk", "bonds", "maxreal", "classify", "validate"])
+    @pytest.mark.parametrize("doc, want", [
+        (_COINCIDENT, 3), (_ZERO_LENGTH, 3), (_NO_REAL_POSE, 0),
+    ], ids=["coincident-legs", "zero-length", "no-real-pose"])
+    def test_degenerate_inputs(self, tmp_path, capsys, command, doc, want):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(doc))
+        code = run_command([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == want
+        if want:
+            assert out == "" and "error" in json.loads(err)
+        else:
+            assert err == ""
+            if command == "dk":
+                assert json.loads(out)["realSolutions"] == []
+
+    @pytest.mark.parametrize("lengths", ["2,1,5,3", "2,1,5,3,4,6"])
+    def test_dk_length_count(self, geom_file, capsys, lengths):
+        code = run_command(["dk", geom_file, "--lengths", lengths])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "need 5 leg lengths" in json.loads(err)["error"]

@@ -9,9 +9,9 @@ from helpers import (ar_planar_pentapod, cylinder_only_pentapod,
                      finite_vertex_pentapod, ideal_vertex_pentapod,
                      type5_parallel_lines_pentapod)
 from pentakin.bonds import DependentConstraintsError
-from pentakin.dirkin import max_real_solutions, solve_dk
-from pentakin.kinmap import (Leg, Pentapod, StudyParams, displacement,
-                             lift_study)
+from pentakin.dirkin import DirkinError, max_real_solutions, solve_dk
+from pentakin.kinmap import (Leg, MotionParams, Pentapod, StudyParams,
+                             displacement, lift_study)
 from pentakin.polyalg import to_float
 from pentakin.rearrange import ArchSingularInputError
 
@@ -30,6 +30,21 @@ def random_study(rng):
         return StudyParams(*e, *f)
 
 
+def pose_params(u, c):
+    """The pose (x0 = 1 chart) that carries platform point a to a*u + c,
+    for a unit direction u and a point c."""
+    n0 = sum(v * v for v in c) / 8
+    y0 = sum(p * q for p, q in zip(u, c))
+    return MotionParams(n0, 1, *(-v for v in u), y0, *(-v for v in c))
+
+
+def recovers(out, pose):
+    """Whether a DK solution is within 1e-9 of the pose's coordinates."""
+    return any(max(abs(float(c) - float(e))
+                   for c, e in zip(s.params.coords(), pose)) < 1e-9
+               for s in out.solutions)
+
+
 def forward_lengths2(p, m):
     out = []
     for leg in p.legs:
@@ -44,7 +59,7 @@ class TestSolveDK:
         out = solve_dk(type1_reference_pentapod, lengths=[2, 1, 5, 3, 4])
         assert out.degree == 4
         assert out.polynomial.all_coeffs() == REFERENCE_QUARTIC
-        assert out.route == "linear-x1"
+        assert out.route == "cascade"
 
     def test_reference_solutions_reproduce_lengths(self,
                                                    type1_reference_pentapod):
@@ -79,9 +94,7 @@ class TestSolveDK:
         assert out.degree == 6
         pose = (F(7, 16), 1, F(3, 7), F(6, 7), F(2, 7), F(-23, 14), F(-3, 2),
                 -1, F(-1, 2))
-        assert any(max(abs(float(c) - float(e))
-                       for c, e in zip(s.params.coords(), pose)) < 1e-9
-                   for s in out.solutions)
+        assert recovers(out, pose)
 
     @pytest.mark.parametrize("design, lengths2, pose", [
         # Q1 and Q3 are tangent at the pose for its q3 (-4, and 8/9): the
@@ -101,9 +114,7 @@ class TestSolveDK:
     def test_pair_tangent_at_the_pose(self, design, lengths2, pose):
         out = solve_dk(design(), lengths2=lengths2)
         assert out.degree == 6
-        assert any(max(abs(float(c) - float(e))
-                       for c, e in zip(s.params.coords(), pose)) < 1e-9
-                   for s in out.solutions)
+        assert recovers(out, pose)
 
     def test_every_pose_of_a_root(self):
         # each double root y3 = +-3/4 of the quartic carries two poses,
@@ -117,9 +128,7 @@ class TestSolveDK:
         assert got == [(-3, -3), (-3, 3), (3, -3), (3, 3)]
         pose = (F(469, 1152), 1, F(-2, 7), F(6, 7), F(3, 7), F(-5, 28),
                 F(3, 2), F(2, 3), F(-3, 4))
-        assert any(max(abs(float(c) - float(e))
-                       for c, e in zip(s.params.coords(), pose)) < 1e-9
-                   for s in out.solutions)
+        assert recovers(out, pose)
 
     def test_float_geometry(self):
         # an all-float geometry, embedded exactly: its eliminant has
@@ -142,10 +151,39 @@ class TestSolveDK:
             assert s.residual <= 1e-9
             for got, want in zip(s.lengths, lengths2):
                 assert abs(got * got - want) <= 1e-9 * (1 + want)
-        target = [to_float(c) for c in m.normalized().coords()]
-        assert any(max(abs(float(c) - t)
-                       for c, t in zip(s.params.coords(), target)) < 1e-9
-                   for s in out.solutions)
+        assert recovers(out, [to_float(c) for c in m.normalized().coords()])
+
+    def test_parallel_lines_pose(self):
+        # degree 6 is the bound for a design with a bond
+        p = type5_parallel_lines_pentapod()
+        pose = pose_params((F(23, 49), F(36, 49), F(-24, 49)), (3, -1, -2))
+        out = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        assert out.degree == 6
+        assert recovers(out, pose.coords())
+
+    @pytest.mark.parametrize("draw", [1, 2])
+    @pytest.mark.parametrize("interleaved", [True, False],
+                             ids=["criterion-05", "consecutive"])
+    def test_axis_aligned_pose(self, rng, draw, interleaved):
+        # the platform direction is a coordinate axis; the 2nd and 3rd
+        # members come from criterion 05's rng, drawn as criterion 05 draws
+        # them (one pose between members) or one after another
+        for _ in range(draw + 1):
+            p = random_member(rng)
+            if interleaved:
+                random_study(rng)
+        pose = pose_params((0, 1, 0), (F(1, 2), F(-2, 3), F(5, 4)))
+        out = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        assert out.degree == 8
+        assert recovers(out, pose.coords())
+
+    @pytest.mark.parametrize("count", [4, 6])
+    @pytest.mark.parametrize("keyword", ["lengths", "lengths2"])
+    def test_leg_length_count(self, type1_reference_pentapod, keyword,
+                              count):
+        with pytest.raises(DirkinError, match="need 5 leg lengths"):
+            solve_dk(type1_reference_pentapod,
+                     **{keyword: [2, 1, 5, 3, 4, 6][:count]})
 
     def test_generic_degree_eight(self, rng):
         for _ in range(3):

@@ -166,3 +166,21 @@ def test_no_30_digit_refinement(monkeypatch, rng, type1_reference_design,
         guarded = answers()
     assert guarded == answers()
     assert guarded[0][4]
+
+
+def test_no_factorisation(monkeypatch, rng, type1_reference_pentapod):
+    """DK's eliminant is one exact elimination: it gives the same answers
+    with Poly.factor_list patched to raise, on the criterion-01 reference
+    and on a criterion-05 member."""
+    member = _dk_and_trace_answers(rng, ())
+
+    def answers():
+        ref = solve_dk(type1_reference_pentapod, lengths=[2, 1, 5, 3, 4])
+        return member(), (ref.route, ref.polynomial,
+                          [s.params for s in ref.solutions])
+    with monkeypatch.context() as mp:
+        mp.setattr(sp.Poly, "factor_list", _forbidden)
+        guarded = answers()
+    assert guarded == answers()
+    assert guarded[0][0][3].degree() == 8
+    assert guarded[1][1].degree() == 4
