@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import INF, GeomError, cross_ratio
+from .geom import INF, GeomError, collinear, coplanar, cross_ratio
 from .kinmap import Pentapod
 from .polyalg import mat_det, mat_rank
 
@@ -85,21 +85,23 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def collinear(points) -> bool:
-    """Exact collinearity of >= 2 points in 3-space."""
-    if len(points) < 3:
-        return True
-    base = points[0]
-    rows = [list(_sub(p, base)) for p in points[1:]]
-    return mat_rank(rows) <= 1
-
-
-def coplanar(points) -> bool:
-    if len(points) < 4:
-        return True
-    base = points[0]
-    rows = [list(_sub(p, base)) for p in points[1:]]
-    return mat_rank(rows) <= 2
+def _plane_frame(points):
+    """The in-plane frame (e1, n, e2) of coplanar points: e1 the first
+    nonzero difference from points[0], n the first nonzero cross product
+    of e1 with such a difference, and e2 = n x e1.  For collinear points n
+    is any vector perpendicular to e1.  Raises ArchsingError when all
+    points coincide."""
+    origin = points[0]
+    diffs = [_sub(q, origin) for q in points[1:]]
+    e1 = next((d for d in diffs if any(d)), None)
+    if e1 is None:
+        raise ArchsingError("all base points coincide")
+    n = next((v for v in (_cross(e1, d) for d in diffs) if any(v)), None)
+    if n is None:  # collinear; pick any perpendicular
+        n = _cross(e1, (Fraction(1), Fraction(0), Fraction(0)))
+        if not any(n):
+            n = _cross(e1, (Fraction(0), Fraction(1), Fraction(0)))
+    return e1, n, _cross(n, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +288,7 @@ def _inplane_coords(M):
     """Exact orthogonal (anisotropically scaled) coordinates in the base
     plane; requires coplanar base points."""
     origin = M[0]
-    e1 = None
-    for q in M[1:]:
-        d = _sub(q, origin)
-        if any(d):
-            e1 = d
-            break
-    if e1 is None:
-        raise ArchsingError("all base points coincide")
-    normal = None
-    for q in M[1:]:
-        n = _cross(e1, _sub(q, origin))
-        if any(n):
-            normal = n
-            break
-    if normal is None:  # collinear; pick any perpendicular
-        normal = _cross(e1, (Fraction(1), Fraction(0), Fraction(0)))
-        if not any(normal):
-            normal = _cross(e1, (Fraction(0), Fraction(1), Fraction(0)))
-    e2 = _cross(normal, e1)
+    e1, _, e2 = _plane_frame(M)
     X = [_dot(_sub(q, origin), e1) for q in M]
     Y = [_dot(_sub(q, origin), e2) for q in M]
     return X, Y

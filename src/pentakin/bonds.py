@@ -17,8 +17,7 @@ import sympy as sp
 
 from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
                      phi_gradient, sphere_condition)
-from .polyalg import (GaussRat, exactify, is_exact, numeric_rank, to_complex,
-                      to_sympy)
+from .polyalg import GaussRat, exactify, is_exact, numeric_rank, to_sympy
 from .reduced import Reduction, choose_pivots, polarise
 from .tol import BOND_SAME, W_CONSTANT_ZERO
 
@@ -98,7 +97,7 @@ def _find_bonds_with_pivots(rows, pivots, tol):
             vals = [sum(t * c for t, c in zip(row[1:], point))
                     for row in red.T]
         else:
-            vals = (red.Tn[:, 1:] @ np.array([to_complex(c) for c in point])
+            vals = (red.Tn[:, 1:] @ np.array([complex(c) for c in point])
                     ).tolist()
         if any(vals):
             bonds.append((vals, mult))
@@ -220,7 +219,7 @@ def _roots(poly: sp.Poly):
         rts = _small_roots(coeffs)
         if rts is None:
             numeric += [(r, mult) for r in np.roots(
-                [to_complex(c) for c in coeffs]).tolist()]
+                [complex(c) for c in coeffs]).tolist()]
         else:
             exact += [(r, mult) for r in rts]
     # sympy's order of the linear factors u - r over QQ(i), which fixes the
@@ -285,7 +284,7 @@ def _solve_for_w(conics, u0, v0):
     conic vanishes on the line through (u0 : v0 : 0) and (0 : 0 : 1)."""
     exact = is_exact(u0)
     if not exact:
-        conics, u0, v0 = _numeric(conics), to_complex(u0), to_complex(v0)
+        conics, u0, v0 = _numeric(conics), complex(u0), complex(v0)
     polys = []
     for A, B, C in (_in_w(q, u0, v0) for q in conics):
         if not exact and not (A or B) and abs(C) < W_CONSTANT_ZERO:
@@ -299,7 +298,7 @@ def _solve_for_w(conics, u0, v0):
     coeffs = list(first[1:] if not first[0] else first)
     rts = _small_roots(coeffs) if exact else None
     if rts is None:
-        rts = np.roots([to_complex(c) for c in coeffs]).tolist()
+        rts = np.roots([complex(c) for c in coeffs]).tolist()
     return rts
 
 
@@ -315,7 +314,7 @@ def _check_all(conics, point, tol):
     point, else within tol relative to the point's squared size."""
     exact = all(map(is_exact, point))
     if not exact:
-        conics, point = _numeric(conics), [to_complex(c) for c in point]
+        conics, point = _numeric(conics), [complex(c) for c in point]
     u, v, w = point
     vals = [(A * w + B) * w + C for A, B, C in (_in_w(q, u, v) for q in conics)]
     if exact:
@@ -325,7 +324,7 @@ def _check_all(conics, point, tol):
 
 
 def _numeric(conics):
-    return [tuple(map(to_complex, q)) for q in conics]
+    return [tuple(map(complex, q)) for q in conics]
 
 
 def _normalize_and_dedupe(bonds):
@@ -337,7 +336,7 @@ def _normalize_and_dedupe(bonds):
         exact = all(map(is_exact, vals))
         coords = [_demote(v / lead) if exact else complex(v / lead)
                   for v in vals]
-        key = [to_complex(c) for c in coords]
+        key = [complex(c) for c in coords]
         dup = next((i for i, (k, _, _) in enumerate(out) if _close(k, key)),
                    None)
         if dup is None:
@@ -369,8 +368,8 @@ def _pair_conjugates(entries):
 
 
 def _proj_same(m1: MotionParams, m2: MotionParams, tol=BOND_SAME) -> bool:
-    a = [to_complex(c) for c in m1.coords()]
-    b = [to_complex(c) for c in m2.coords()]
+    a = [complex(c) for c in m1.coords()]
+    b = [complex(c) for c in m2.coords()]
     cross = [a[i] * b[j] - a[j] * b[i]
              for i in range(9) for j in range(i + 1, 9)]
     scale = max(abs(c) for c in a) * max(abs(c) for c in b)
@@ -387,8 +386,8 @@ def is_bond(constraints, m: MotionParams, tol: float = 1e-9) -> bool:
     vals = list(gamma_residuals(m)) + [hp.evaluate(m) for hp in constraints]
     if all(is_exact(v) or isinstance(v, int) for v in vals):
         return all(v == 0 for v in vals)
-    scale = 1 + sum(abs(to_complex(c)) ** 2 for c in m.coords())
-    return all(abs(to_complex(v)) <= tol * scale for v in vals)
+    scale = 1 + sum(abs(complex(c)) ** 2 for c in m.coords())
+    return all(abs(complex(v)) <= tol * scale for v in vals)
 
 
 def tangency_rank(constraints, b: Bond, tol: float = 1e-9) -> int:

@@ -49,9 +49,18 @@ def parse_number(x):
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(_EXIT_BAD_INPUT, f"bad rational literal {x!r}: {exc}")
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return exactify(x)
     raise CliError(_EXIT_BAD_INPUT, f"expected a number, got {x!r}")
+
+
+def _numbers(path, x, shape, what):
+    """The JSON array `x` of the given shape, as exact scalars."""
+    if not (isinstance(x, list) and len(x) == shape[0]):
+        raise CliError(_EXIT_BAD_INPUT, f"{path}: need {what}")
+    if len(shape) == 1:
+        return [parse_number(v) for v in x]
+    return [_numbers(path, v, shape[1:], what) for v in x]
 
 
 def load_geometry(path) -> Pentapod:
@@ -64,25 +73,25 @@ def load_geometry(path) -> Pentapod:
         raise CliError(_EXIT_BAD_INPUT,
                        f"malformed JSON in {path} at line {exc.lineno}, "
                        f"column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise CliError(_EXIT_BAD_INPUT, f"{path}: expected a JSON object")
     for key in ("platform", "base"):
         if key not in doc:
             raise CliError(_EXIT_BAD_INPUT, f"{path}: missing field {key!r}")
-    platform = doc["platform"]
-    base = doc["base"]
-    if len(platform) != 5 or len(base) != 5 or any(len(b) != 3 for b in base):
-        raise CliError(_EXIT_BAD_INPUT,
-                       f"{path}: need 5 platform values and 5 base triples")
-    avals = [parse_number(v) for v in platform]
-    pts = [tuple(parse_number(c) for c in b) for b in base]
-    if "frame" in doc and doc["frame"]:
-        pts = [_apply_frame(doc["frame"], q) for q in pts]
+    avals = _numbers(path, doc["platform"], (5,), "5 platform values")
+    pts = [tuple(b) for b in _numbers(path, doc["base"], (5, 3),
+                                      "5 base triples")]
+    frame = doc.get("frame")
+    if frame:
+        if not isinstance(frame, dict):
+            raise CliError(_EXIT_BAD_INPUT, f"{path}: frame must be an object")
+        pts = [_apply_frame(path, frame, q) for q in pts]
     lengths2 = None
     if doc.get("lengths2") is not None:
-        lengths2 = [parse_number(v) for v in doc["lengths2"]]
+        lengths2 = _numbers(path, doc["lengths2"], (5,), "5 leg lengths")
     elif doc.get("lengths") is not None:
-        lengths2 = [parse_number(v) ** 2 for v in doc["lengths"]]
-    if lengths2 is not None and len(lengths2) != 5:
-        raise CliError(_EXIT_BAD_INPUT, f"{path}: need 5 leg lengths")
+        lengths2 = [v ** 2 for v in _numbers(path, doc["lengths"], (5,),
+                                             "5 leg lengths")]
     try:
         legs = tuple(
             Leg(a, q, lengths2[i] if lengths2 else None)
@@ -92,14 +101,15 @@ def load_geometry(path) -> Pentapod:
         raise CliError(_EXIT_DEGENERATE, str(exc))
 
 
-def _apply_frame(frame, q):
+def _apply_frame(path, frame, q):
     rot = frame.get("rotation")
-    tr = frame.get("translation", [0, 0, 0])
+    tr = _numbers(path, frame.get("translation", [0, 0, 0]), (3,),
+                  "a frame translation of 3 numbers")
     out = list(q)
     if rot:
-        out = [sum(parse_number(rot[i][j]) * q[j] for j in range(3))
-               for i in range(3)]
-    return tuple(c + parse_number(t) for c, t in zip(out, tr))
+        rot = _numbers(path, rot, (3, 3), "a 3x3 frame rotation")
+        out = [sum(rot[i][j] * q[j] for j in range(3)) for i in range(3)]
+    return tuple(c + t for c, t in zip(out, tr))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (GaussRat, exactify, is_exact, mat_nullspace, mat_rank,
-                      to_complex)
+from .polyalg import GaussRat, exactify, is_exact, mat_nullspace, mat_rank
+from .tol import CONCYCLIC_SVD_FLOOR, MOBIUS_MATCH_FLOOR
 
 
 class GeomError(ValueError):
@@ -79,8 +79,26 @@ class ProjPoint:
         cross = [a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)]
         if tol == 0.0:
             return all(not c for c in cross)
-        scale = max(abs(to_complex(c)) for c in list(a) + list(b))
-        return all(abs(to_complex(c)) <= tol * (1 + scale * scale) for c in cross)
+        scale = max(abs(complex(c)) for c in list(a) + list(b))
+        return all(abs(complex(c)) <= tol * (1 + scale * scale) for c in cross)
+
+
+# ---------------------------------------------------------------------------
+# collinearity and coplanarity
+# ---------------------------------------------------------------------------
+
+def _affine_rank(points):
+    return mat_rank([[a - b for a, b in zip(q, points[0])]
+                     for q in points[1:]])
+
+
+def collinear(points) -> bool:
+    """Exact collinearity of >= 2 points in 3-space."""
+    return len(points) < 3 or _affine_rank(points) <= 1
+
+
+def coplanar(points) -> bool:
+    return len(points) < 4 or _affine_rank(points) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +228,8 @@ def mobius_equivalent(platform, projected_base, tol: float = 0.0) -> bool:
         return img is want
     if tol == 0.0 and is_exact(img) and is_exact(want):
         return img == want
-    return abs(to_complex(img) - to_complex(want)) <= max(tol, 1e-12) * (
-        1 + abs(to_complex(want)))
+    return abs(complex(img) - complex(want)) <= (
+        max(tol, MOBIUS_MATCH_FLOOR) * (1 + abs(complex(want))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +262,7 @@ def concyclic(points, tol: float = 0.0) -> ConcyclicResult:
         return ConcyclicResult(on_circle, on_circle and lin)
     arr = np.array([[float(x) ** 2 + float(y) ** 2, float(x), float(y), 1.0]
                     for x, y in points])
-    eff_tol = max(tol, 1e-9)
+    eff_tol = max(tol, CONCYCLIC_SVD_FLOOR)
     s = np.linalg.svd(arr, compute_uv=False)
     on_circle = bool(s[0] == 0 or (len(s) > 3 and s[3] <= eff_tol * s[0]) or len(s) <= 3)
     s2 = np.linalg.svd(arr[:, 1:], compute_uv=False)

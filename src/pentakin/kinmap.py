@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import (conj, exactify, is_exact, is_real_scalar, to_complex,
-                      to_float)
+from .geom import coplanar
+from .polyalg import conj, exactify, is_exact, is_real_scalar, to_float
+from .tol import UNIT_DIRECTION
 
 COORD_NAMES = ("n0", "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
@@ -191,10 +192,7 @@ class Pentapod:
                               for leg, r2 in zip(self.legs, lengths2)))
 
     def is_base_planar(self) -> bool:
-        from .polyalg import mat_rank
-        m0 = self.legs[0].base
-        rows = [[leg.base[i] - m0[i] for i in range(3)] for leg in self.legs[1:]]
-        return mat_rank(rows) <= 2
+        return coplanar(self.base_points)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,8 @@ def on_image_variety(m: MotionParams, tol: float = 1e-9) -> bool:
     res = phi_residuals(m)
     if all(is_exact(r) or isinstance(r, int) for r in res):
         return all(r == 0 for r in res)
-    scale = 1 + sum(abs(to_complex(c)) ** 2 for c in m.coords())
-    return all(abs(to_complex(r)) <= tol * scale for r in res)
+    scale = 1 + sum(abs(complex(c)) ** 2 for c in m.coords())
+    return all(abs(complex(r)) <= tol * scale for r in res)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,8 @@ def _check_unit(u, tol):
         raise KinmapError("direction must be a unit vector (beyond tolerance)")
 
 
-def darboux_condition(a, u, p, tol: float = 1e-9) -> ConstraintHyperplane:
+def darboux_condition(a, u, p,
+                      tol: float = UNIT_DIRECTION) -> ConstraintHyperplane:
     """Darboux condition: point a moves in the plane X . u = p (u unit)."""
     _check_unit(u, tol)
     u1, u2, u3 = u
@@ -352,7 +351,8 @@ def mannheim_condition(base_point, p) -> ConstraintHyperplane:
     return ConstraintHyperplane("mannheim", (0, p, A, B, C, 1, 0, 0, 0))
 
 
-def angle_condition(u, w, tol: float = 1e-9) -> ConstraintHyperplane:
+def angle_condition(u, w,
+                    tol: float = UNIT_DIRECTION) -> ConstraintHyperplane:
     """Angle condition: the platform direction keeps a fixed angle with the
     unit ideal direction u; w is the linear constant of the condition."""
     _check_unit(u, tol)
@@ -368,9 +368,10 @@ def constraint_hyperplane(kind: ConstraintKind, **data) -> ConstraintHyperplane:
         return sphere_condition(leg)
     if kind == "darboux":
         return darboux_condition(data["a"], data["u"], data["p"],
-                                 data.get("tol", 1e-9))
+                                 data.get("tol", UNIT_DIRECTION))
     if kind == "mannheim":
         return mannheim_condition(data["base_point"], data["p"])
     if kind == "angle":
-        return angle_condition(data["u"], data["w"], data.get("tol", 1e-9))
+        return angle_condition(data["u"], data["w"],
+                               data.get("tol", UNIT_DIRECTION))
     raise KinmapError(f"unknown constraint kind {kind!r}")

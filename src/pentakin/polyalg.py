@@ -18,6 +18,8 @@ from numbers import Rational as _RationalABC
 import numpy as np
 import sympy as sp
 
+from .tol import FLOAT_ROOT
+
 
 class PolyalgError(ValueError):
     pass
@@ -145,12 +147,6 @@ def _coerce(x):
     return NotImplemented
 
 
-I_ = GaussRat(0, 1)
-
-#: exact or floating scalar; see module docstring
-Scalar = Fraction | GaussRat | int | float | complex
-
-
 def exactify(x) -> Fraction | GaussRat:
     """Embed x exactly (floats embed at their exact binary value).
 
@@ -206,10 +202,6 @@ def conj(x):
     return x
 
 
-def to_complex(x) -> complex:
-    return complex(x)
-
-
 def to_float(x) -> float:
     if isinstance(x, GaussRat):
         if x.im != 0:
@@ -244,75 +236,97 @@ def _zero_like(entries):
     return Fraction(0)
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
+def _eliminate(m, cols):
+    """Forward Gaussian elimination of a copy of m, pivoting on the first
+    nonzero entry in row order within the first `cols` columns; the
+    elimination runs over whole rows, so further columns (right-hand
+    sides) are carried along.  Returns (a, pivot columns, sign of the row
+    permutation); pivot k sits in row k of the echelon form a."""
+    a = [list(row) for row in m]
+    pivots, sign = [], 1
+    for c in range(cols):
+        rank = len(pivots)
+        if rank == len(a):
+            break
+        p = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        piv = a[rank][c]
+        for r in range(rank + 1, len(a)):
+            if a[r][c]:
+                f = a[r][c] / piv
+                for k in range(c, len(a[r])):
+                    a[r][k] = a[r][k] - f * a[rank][k]
+        pivots.append(c)
+    return a, pivots, sign
 
 
 def mat_det(m):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: the signed product of the echelon pivots."""
     n = len(m)
     if n == 0 or any(len(r) != n for r in m):
         raise PolyalgError("determinant needs a nonempty square matrix")
-    a = mat_copy(m)
+    a, pivots, sign = _eliminate(m, n)
+    if len(pivots) < n:
+        return _zero_like(itertools.chain.from_iterable(m))
     det = Fraction(1)
-    sign = 1
     for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c]), None)
-        if p is None:
-            return _zero_like(itertools.chain.from_iterable(m))
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        piv = a[c][c]
-        det = det * piv
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] / piv
-                for k in range(c, n):
-                    a[r][k] = a[r][k] - f * a[c][k]
+        det = det * a[c][c]
     return det if sign == 1 else -det
 
 
 def mat_rank(m) -> int:
-    """Exact rank via Gaussian elimination."""
+    """Exact rank: the number of echelon pivots."""
     if not m or not m[0]:
         raise PolyalgError("rank of an empty matrix")
-    a = mat_copy(m)
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        p = next((r for r in range(rank, rows) if a[r][c]), None)
-        if p is None:
-            continue
-        a[rank], a[p] = a[p], a[rank]
-        piv = a[rank][c]
-        for r in range(rank + 1, rows):
+    return len(_eliminate(m, len(m[0]))[1])
+
+
+def echelon_solve(A, b):
+    """Exact solution of a possibly rectangular/rank-deficient A x = b by
+    one forward elimination and one back-substitution to reduced echelon
+    form.  Returns (pivot columns, particular solution with the free
+    variables at zero, null-space basis with one free variable at one),
+    or None when inconsistent."""
+    cols = len(A[0]) if A else 0
+    a, pivots, _ = _eliminate(
+        [list(row) + [v] for row, v in zip(A, b, strict=True)], cols)
+    if any(row[cols] for row in a[len(pivots):]):
+        return None
+    free = [c for c in range(cols) if c not in pivots]
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        # later steps read only the free columns and the right-hand side
+        rest = [k for k in free if k > c] + [cols]
+        for r in range(i):
             if a[r][c]:
-                f = a[r][c] / piv
-                for k in range(c, cols):
-                    a[r][k] = a[r][k] - f * a[rank][k]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+                f = a[r][c] / a[i][c]
+                for k in rest:
+                    a[r][k] = a[r][k] - f * a[i][k]
+    zero = _zero_like(itertools.chain.from_iterable(A))
+    one = zero + 1
+    sol = [zero] * cols
+    for r, c in enumerate(pivots):
+        sol[c] = a[r][cols] / a[r][c]
+    basis = []
+    for fc in free:
+        vec = [zero] * cols
+        vec[fc] = one
+        for r, c in enumerate(pivots):
+            vec[c] = -a[r][fc] / a[r][c]
+        basis.append(vec)
+    return pivots, sol, basis
 
 
 def mat_solve(A, b):
     """Exact solve of square A x = b; raises SingularMatrixError."""
-    n = len(A)
-    a = [list(A[r]) + [b[r]] for r in range(n)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c]), None)
-        if p is None:
-            raise SingularMatrixError("singular system")
-        a[c], a[p] = a[p], a[c]
-        piv = a[c][c]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c] / piv
-                for k in range(c, n + 1):
-                    a[r][k] = a[r][k] - f * a[c][k]
-    return [a[r][n] / a[r][r] for r in range(n)]
+    out = echelon_solve(A, b)
+    if out is None or len(out[0]) < len(A):
+        raise SingularMatrixError("singular system")
+    return out[1]
 
 
 def mat_solve_general(A, b):
@@ -320,50 +334,12 @@ def mat_solve_general(A, b):
 
     Returns (particular_solution, nullspace_basis) or None when inconsistent.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    a = [list(A[r]) + [b[r]] for r in range(rows)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        p = next((r for r in range(rank, rows) if a[r][c]), None)
-        if p is None:
-            continue
-        a[rank], a[p] = a[p], a[rank]
-        piv = a[rank][c]
-        for r in range(rows):
-            if r != rank and a[r][c]:
-                f = a[r][c] / piv
-                for k in range(c, cols + 1):
-                    a[r][k] = a[r][k] - f * a[rank][k]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if a[r][cols]:
-            return None
-    zero = _zero_like(itertools.chain.from_iterable(A))
-    one = zero + 1
-    sol = [zero] * cols
-    for r, c in enumerate(pivots):
-        sol[c] = a[r][cols] / a[r][c]
-    basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, c in enumerate(pivots):
-            vec[c] = -a[r][fc] / a[r][c]
-        basis.append(vec)
-    return sol, basis
+    out = echelon_solve(A, b)
+    return None if out is None else out[1:]
 
 
 def mat_nullspace(m):
-    rows = len(m)
-    zero = _zero_like(itertools.chain.from_iterable(m)) if rows else Fraction(0)
-    b = [zero] * rows
-    out = mat_solve_general(m, b)
-    assert out is not None
-    return out[1]
+    return echelon_solve(m, [0] * len(m))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +354,7 @@ def numeric_rank(m, tol: float = 1e-9) -> int:
     flat = list(itertools.chain.from_iterable(m))
     if all(is_exact(e) for e in flat):
         return mat_rank([[exactify(e) for e in row] for row in m])
-    arr = np.array([[to_complex(e) for e in row] for row in m], dtype=complex)
+    arr = np.array([[complex(e) for e in row] for row in m], dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise PolyalgError("non-finite matrix entry")
     s = np.linalg.svd(arr, compute_uv=False)
@@ -403,7 +379,7 @@ def resultant(p, q, var) -> sp.Expr:
     return sp.expand(sp.resultant(pe, qe, var))
 
 
-def real_roots(p, tol: float = 1e-10):
+def real_roots(p, tol: float = FLOAT_ROOT):
     """All real roots of a univariate polynomial, with multiplicities.
 
     Returns a list of (root, multiplicity) sorted ascending; roots are floats.
@@ -445,7 +421,7 @@ def real_roots(p, tol: float = 1e-10):
             else:
                 out.append((rv, mult))
         return out
-    coeffs = [to_complex(c) for c in poly.all_coeffs()]
+    coeffs = [complex(c) for c in poly.all_coeffs()]
     roots = np.roots(coeffs)
     scale = 1.0 + max(abs(c) for c in coeffs)
     pv = np.polyval(coeffs, roots)

@@ -19,7 +19,7 @@ import sympy as sp
 
 from .archsing import (WrongBranchError, classify_arch, planar_D,
                        planar_relabeling, validate_assumptions, _sub, _dot,
-                       _cross, _D_ijk)
+                       _plane_frame, _D_ijk)
 from .geom import ProjPoint
 from .kinmap import Pentapod
 from .polyalg import mat_solve_general, exactify
@@ -73,7 +73,7 @@ def planar_vertex(p: Pentapod) -> ProjPoint:
     # back to user coordinates through the scaled in-plane frame
     M = [p.base_points[i] for i in perm]
     origin = M[0]
-    plane_x, plane_y = _frame_axes(M)
+    plane_x, _, plane_y = _plane_frame(M)
     e1n = _dot(plane_x, plane_x)
     e2n = _dot(plane_y, plane_y)
     direction = tuple(vx * e2n * plane_x[c] + vy * e1n * plane_y[c]
@@ -83,16 +83,6 @@ def planar_vertex(p: Pentapod) -> ProjPoint:
     scaled = tuple(origin[c] + (vx * plane_x[c] / e1n) / vw
                    + (vy * plane_y[c] / e2n) / vw for c in range(3))
     return ProjPoint(Fraction(1), *scaled)
-
-
-def _frame_axes(M):
-    origin = M[0]
-    e1 = next(d for d in (_sub(q, origin) for q in M[1:]) if any(d))
-    n = next((v for v in (_cross(e1, _sub(q, origin)) for q in M[1:]) if any(v)),
-             None)
-    if n is None:
-        raise RearrangeError("base points are collinear")
-    return e1, _cross(n, e1)
 
 
 def planar_affine_relation(p: Pentapod) -> bool:

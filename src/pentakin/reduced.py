@@ -24,7 +24,8 @@ import numpy as np
 import sympy as sp
 
 from .kinmap import phi_residuals
-from .polyalg import GaussRat, mat_det, mat_solve, to_sympy
+from .polyalg import (GaussRat, SingularMatrixError, echelon_solve, mat_det,
+                       to_sympy)
 
 # Pivot sets in order of preference: n0 and y0..y3 first, which leaves the
 # platform direction x1, x2, x3 free; then the same with one y swapped for
@@ -90,11 +91,17 @@ class Reduction:
 
     def __init__(self, rows, pivots):
         self.free = tuple(c for c in _FREE_ORDER if c not in pivots)
-        A = [[r[c] for c in pivots] for r in rows]
+        # with the columns in this order, T's columns are the echelon
+        # null-space basis of the rows
+        order = tuple(pivots) + (1,) + self.free
+        found, _, basis = echelon_solve([[r[c] for c in order] for r in rows],
+                                        [0] * len(rows))
+        if found != list(range(5)):
+            raise SingularMatrixError("singular pivot minor")
         T = [[Fraction(0)] * 4 for _ in range(9)]
-        for j, c in enumerate((1,) + self.free):
-            T[c][j] = Fraction(1)
-            for pc, v in zip(pivots, mat_solve(A, [-r[c] for r in rows])):
+        for j, vec in enumerate(basis):
+            T[order[5 + j]][j] = Fraction(1)
+            for pc, v in zip(pivots, vec):
                 T[pc][j] = v
         self.T = T
         Tn = np.array([[complex(v) for v in row] for row in T])

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .archsing import WrongBranchError, _cross, _dot, _sub
+from .archsing import WrongBranchError, _cross, _dot, _plane_frame, _sub
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
                      phi_gradient, phi_residuals)
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
@@ -703,16 +703,13 @@ def circular_translation_check(p: Pentapod) -> CircularTranslationResult:
     M1 = p.legs[0].base
     avals = [leg.a - a1 for leg in p.legs]
     V = [tuple(_sub(leg.base, M1)) for leg in p.legs]
-    normal = _plane_normal(V)
-    e1 = next(d for d in V[1:] if any(d))
-    e2 = _cross(normal, e1)
+    e1, normal, e2 = _plane_frame(p.base_points)
     E1 = _dot(e1, e1)
     E2 = _dot(e2, e2)
     # u = alpha e1 + beta e2; for each pair the 3D cross product is normal-
     # parallel and bilinear, giving one linear condition in (alpha, beta)
     rows = []
     rhs = []
-    n2 = _dot(normal, normal)
     for i in range(5):
         for j in range(i + 1, 5):
             # [(a_i u - V_i) x (a_j u - V_j)] . n = 0
@@ -729,11 +726,11 @@ def circular_translation_check(p: Pentapod) -> CircularTranslationResult:
     if not basis:
         # unique candidate direction: real iff exactly unit
         if alpha * alpha * E1 + beta * beta * E2 == 1:
-            return _ct_result(p, avals, V, e1, e2, alpha, beta)
+            return _ct_result(normal, avals, V, e1, e2, alpha, beta)
         return CircularTranslationResult(Reality.COMPLEX)
     if len(basis) >= 2:
         # any direction works; pick e1 normalized
-        return _ct_result(p, avals, V, e1, e2,
+        return _ct_result(normal, avals, V, e1, e2,
                           Fraction(1), Fraction(0), force_unit=True)
     (da, db), = basis
     # minimize q(s) = (alpha + s da)^2 E1 + (beta + s db)^2 E2 exactly
@@ -753,26 +750,15 @@ def circular_translation_check(p: Pentapod) -> CircularTranslationResult:
     if qa == 0:
         s = -qc / qb if qb else Fraction(0)
         alpha2, beta2 = alpha + s * da, beta + s * db
-        return _ct_result(p, avals, V, e1, e2, alpha2, beta2)
+        return _ct_result(normal, avals, V, e1, e2, alpha2, beta2)
     disc = qb * qb - 4 * qa * qc
     sroot = (-to_float(qb) + math.sqrt(to_float(disc))) / (2 * to_float(qa))
     alpha2 = to_float(alpha) + sroot * to_float(da)
     beta2 = to_float(beta) + sroot * to_float(db)
-    return _ct_result(p, avals, V, e1, e2, alpha2, beta2)
+    return _ct_result(normal, avals, V, e1, e2, alpha2, beta2)
 
 
-def _plane_normal(V):
-    e1 = next((d for d in V if any(d)), None)
-    if e1 is None:
-        raise SelfMotionError("degenerate base")
-    for d in V:
-        n = _cross(e1, d)
-        if any(n):
-            return n
-    raise SelfMotionError("base points are collinear")
-
-
-def _ct_result(p, avals, V, e1, e2, alpha, beta, force_unit=False):
+def _ct_result(normal, avals, V, e1, e2, alpha, beta, force_unit=False):
     u = tuple(to_float(alpha) * to_float(c1) + to_float(beta) * to_float(c2)
               for c1, c2 in zip(e1, e2))
     nu = math.sqrt(sum(c * c for c in u))
@@ -785,5 +771,5 @@ def _ct_result(p, avals, V, e1, e2, alpha, beta, force_unit=False):
             h = wv
             break
     if h is None:
-        h = tuple(float(c) for c in _cross(u, _plane_normal(V)))
+        h = tuple(float(c) for c in _cross(u, normal))
     return CircularTranslationResult(Reality.REAL, u, h)

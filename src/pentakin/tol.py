@@ -7,7 +7,8 @@ largest quadric residual of a configuration x divided by 1 + |x|^2, so
 every threshold is relative to the scale of the point.  In self-motion
 tracing: the per-sample completions of the configuration curve and the
 circular-translation direction.  In the bond solve: the numeric roots of
-bonds outside QQ(i).  EPS is float64's machine epsilon, 2.2e-16.
+bonds outside QQ(i).  In the geometric predicates and root isolation:
+float inputs only.  EPS is float64's machine epsilon, 2.2e-16.
 """
 
 #: Float Newton stops once the scaled residual is at float64 round-off
@@ -99,3 +100,33 @@ W_CONSTANT_ZERO = 1e-10
 #: within this relative error: sqrt(EPS), to which np.roots finds the double
 #: root of a tangent contact.
 BOND_SAME = 1e-8
+
+# ---------------------------------------------------------------------------
+# geometric predicates and root isolation on float input
+# ---------------------------------------------------------------------------
+
+#: `kinmap.constraint_hyperplane`, `darboux_condition` and `angle_condition`
+#: take a float direction u as unit when |u|^2 differs from 1 by at most
+#: this: about 5e6 EPS, so a unit vector rounded to nine or more
+#: significant digits passes and a direction that is not unit does not.
+UNIT_DIRECTION = 1e-9
+
+#: `geom.mobius_equivalent` on float parameters: the image of the fourth
+#: point matches its target within at least this relative error.  About
+#: 5000 EPS, the round-off of the three-point interpolation and one
+#: evaluation on parameters of order one.
+MOBIUS_MATCH_FLOOR = 1e-12
+
+#: `geom.concyclic` on float points: the rows (x^2 + y^2, x, y, 1) are rank
+#: deficient when the last singular value is at most this relative to the
+#: largest (at least; the caller's tol may raise it).  About 5e6 EPS, above
+#: the round-off of points of order one given to float precision.
+CONCYCLIC_SVD_FLOOR = 1e-9
+
+#: `polyalg.real_roots` on float coefficients: a companion-matrix root is
+#: real when its imaginary part is at most this relative to 1 + |root|, is
+#: kept when |p(root)| is at most this relative to 1 + max|coeff|, and two
+#: kept roots this close are one.  About 5e5 EPS, above the few-EPS error
+#: of a simple root from np.roots; a double root, found only to about
+#: sqrt(EPS), can fall outside it.  Exact coefficients take no tolerance.
+FLOAT_ROOT = 1e-10

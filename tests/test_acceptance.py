@@ -17,7 +17,7 @@ from pentakin.bonds import constraints_of, find_bonds, necessity_verdict, tangen
 from pentakin.dirkin import max_real_solutions, solve_dk
 from pentakin.kinmap import (Leg, displacement, lift_study, phi_residuals,
                              sphere_condition)
-from pentakin.polyalg import GaussRat, to_complex, to_float
+from pentakin.polyalg import GaussRat, to_float
 from pentakin.rearrange import classify_type
 from pentakin.selfmotion import (Reality, circular_translation_check,
                                  real_legs_from_design, reality,
@@ -172,7 +172,7 @@ def test_criterion_07_bond_invariance(rng, type1_reference_pentapod):
     def keys(bonds):
         out = []
         for b in bonds:
-            vals = [to_complex(c) for c in b.params.coords()]
+            vals = [complex(c) for c in b.params.coords()]
             lead = next(v for v in vals if v)
             out.append(tuple(
                 complex(round((v / lead).real, 8), round((v / lead).imag, 8))
@@ -191,7 +191,7 @@ def test_criterion_07_bond_invariance(rng, type1_reference_pentapod):
     # closed-form pattern x = (-conj(B2), 1, 0) with B2 = i, scaled
     found = False
     for b in bonds0:
-        x = [to_complex(c) for c in (b.params.x1, b.params.x2, b.params.x3)]
+        x = [complex(c) for c in (b.params.x1, b.params.x2, b.params.x3)]
         if abs(x[1]) > 1e-12:
             z = x[0] / x[1]
             if abs(z - 1j) < 1e-9 or abs(z + 1j) < 1e-9:

@@ -13,13 +13,13 @@ from pentakin.bonds import (Bond, BondError, DependentConstraintsError,
 from pentakin.geom import mobius_equivalent
 from pentakin.kinmap import (ConstraintHyperplane, Leg, MotionParams,
                              Pentapod, gamma_residuals)
-from pentakin.polyalg import GaussRat, to_complex
+from pentakin.polyalg import GaussRat
 
 _I = GaussRat(0, 1)
 
 
 def _proj_key(m: MotionParams):
-    vals = [to_complex(c) for c in m.coords()]
+    vals = [complex(c) for c in m.coords()]
     lead = next(v for v in vals if v)
     return tuple(complex(round((v / lead).real, 8), round((v / lead).imag, 8))
                  for v in vals)
@@ -156,7 +156,7 @@ class TestConicSystem:
         assert not _same_bonds(exact, [(one, 1, True), (one, 1, True)])
 
         def numeric(scale, shift):
-            return [(MotionParams(*[scale * to_complex(c) + shift
+            return [(MotionParams(*[scale * complex(c) + shift
                                     for c in m.coords()]), 1, False)
                     for m, _, _ in exact]
 

@@ -208,6 +208,18 @@ _COINCIDENT = _reference_with(
 _ZERO_LENGTH = _reference_with(lengths=[0, 1, 5, 3, 4])
 _NO_REAL_POSE = _reference_with(lengths=[100, "1/100", 100, "1/100", 100])
 
+# malformed geometries: each must end in exit 1 with a JSON error
+_MALFORMED = {
+    "top-level-number": 5,
+    "platform-number": _reference_with(platform=5),
+    "base-entry-number": _reference_with(
+        base=REFERENCE_GEOMETRY["base"][:4] + [5]),
+    "lengths-number": _reference_with(lengths=5),
+    "frame-list": _reference_with(frame=[1]),
+    "platform-true": _reference_with(platform=["0", "1", "3", "-1", True]),
+    "platform-false": _reference_with(platform=[False, "1", "3", "-1", "-2"]),
+}
+
 
 class TestContract:
 
@@ -235,3 +247,12 @@ class TestContract:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert "need 5 leg lengths" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("doc", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_malformed_geometry(self, tmp_path, capsys, doc):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error" in json.loads(err)

@@ -7,9 +7,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentakin.polyalg import (GaussRat, PolyalgError, _rounded_root, exactify,
-                              mat_det, mat_rank, mat_solve, numeric_rank,
-                              real_roots, resultant)
+from pentakin.polyalg import (GaussRat, PolyalgError, SingularMatrixError,
+                              _rounded_root, exactify, mat_det, mat_nullspace,
+                              mat_rank, mat_solve, mat_solve_general,
+                              numeric_rank, real_roots, resultant, to_sympy)
 
 x, b, c = sp.symbols("x b c")
 
@@ -232,3 +233,77 @@ class TestExactLinalg:
     def test_rank(self):
         m = [[F(1), F(2)], [F(2), F(4)], [F(1), F(1)]]
         assert mat_rank(m) == 2
+
+
+def _system(rng, gauss):
+    """(A, b): A up to 6x9 with entries in QQ or QQ(i), one in four zero so
+    that pivots are often found below the diagonal and rows swap, and some
+    rows replaced by combinations of earlier ones (rank deficiency); b
+    either A x for a drawn x (consistent) or drawn freely (often
+    inconsistent).  The entries come from a seeded Random, so that they
+    spread over their range rather than shrink towards one value."""
+    def entry():
+        if rng.random() < 0.25:
+            return GaussRat(0) if gauss else F(0)
+        v = F(rng.randint(-3, 3), rng.randint(1, 3))
+        return GaussRat(v, F(rng.randint(-3, 3), rng.randint(1, 3))) \
+            if gauss else v
+
+    rows = rng.randint(1, 6)
+    cols = rng.choice((rows, rng.randint(1, 9)))
+    A = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for r in range(1, rows):
+        if rng.random() < 0.15:
+            f, g, i, j = entry(), entry(), rng.randrange(r), rng.randrange(r)
+            A[r] = [f * u + g * v for u, v in zip(A[i], A[j])]
+    if rng.random() < 0.5:
+        x = [entry() for _ in range(cols)]
+        b = [sum((a * v for a, v in zip(row, x)), F(0)) for row in A]
+    else:
+        b = [entry() for _ in range(rows)]
+    return A, b
+
+
+def _sympy(m):
+    return sp.Matrix([[to_sympy(v) for v in row] for row in m])
+
+
+class TestEliminationAgainstSympy:
+    """One forward elimination and one back-substitution against
+    sympy.Matrix's det, rank and rref."""
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["QQ", "QQ(i)"])
+    @given(rng=st.randoms(use_true_random=True))
+    @settings(max_examples=30, deadline=None)
+    def test_kernel(self, gauss, rng):
+        A, b = _system(rng, gauss)
+        rows, cols = len(A), len(A[0])
+        M = _sympy(A)
+        rank = M.rank()
+        assert mat_rank(A) == rank
+        if rows == cols:
+            assert mat_det(A) == exactify(M.det())
+            if rank < rows:
+                with pytest.raises(SingularMatrixError):
+                    mat_solve(A, b)
+        R, piv = _sympy([row + [v] for row, v in zip(A, b)]).rref()
+        out = mat_solve_general(A, b)
+        if cols in piv:
+            assert out is None
+            return
+        sol, basis = out
+        want = [F(0)] * cols
+        for i, c in enumerate(piv):
+            want[c] = exactify(R[i, cols])
+        assert sol == want
+        free = [c for c in range(cols) if c not in piv]
+        want_basis = []
+        for fc in free:
+            vec = [F(int(c == fc)) for c in range(cols)]
+            for i, c in enumerate(piv):
+                vec[c] = -exactify(R[i, fc])
+            want_basis.append(vec)
+        assert basis == want_basis
+        assert mat_nullspace(A) == want_basis
+        if rows == cols == rank:
+            assert mat_solve(A, b) == want

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from pentakin import GaussRat, synth_leg_params, trace
 from pentakin.bonds import constraints_of
 from pentakin.dirkin import solve_dk
 from pentakin.kinmap import gamma_residuals, lift_study, phi_residuals
+from pentakin import polyalg
 from pentakin.polyalg import exactify, to_sympy
 from pentakin.reduced import Reduction, choose_pivots, polarise
 from test_dirkin import forward_lengths2, random_study
@@ -89,6 +91,36 @@ def test_pivot_choice(type1_reference_pentapod):
     assert Reduction(rows, alt).free == tuple(
         c for c in (2, 3, 4, 0, 5, 6, 7, 8) if c not in alt)
     assert choose_pivots(rows[:4] + [rows[0]]) is None
+
+
+def test_one_elimination(monkeypatch, systems):
+    """A Reduction takes T from one run of the elimination kernel."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+    eliminate = polyalg._eliminate
+    monkeypatch.setattr(polyalg, "_eliminate", counted)
+    for rows, pivots in systems:
+        pivots = pivots or choose_pivots(rows)
+        calls.clear()
+        Reduction(rows, pivots)
+        assert len(calls) == 1
+
+
+def test_singular_pivot_minor(type1_reference_pentapod):
+    rows = _rows(constraints_of(type1_reference_pentapod))
+    singular = [piv for piv in itertools.combinations(range(9), 5)
+                if 1 not in piv
+                and not polyalg.mat_det([[r[c] for c in piv] for r in rows])]
+    assert singular
+    for piv in singular:
+        with pytest.raises(polyalg.SingularMatrixError):
+            Reduction(rows, piv)
+    # rank-deficient rows: every minor is singular
+    with pytest.raises(polyalg.SingularMatrixError):
+        Reduction(rows[:4] + [rows[0]], (0, 5, 6, 7, 8))
 
 
 def test_polarised_quadrics_are_exact(systems):
