@@ -17,8 +17,9 @@ import sympy as sp
 
 from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
                      phi_gradient, sphere_condition)
-from .polyalg import GaussRat, exactify, is_exact, numeric_rank, to_sympy
-from .reduced import Reduction, choose_pivots, polarise
+from .polyalg import (GaussRat, exactify, is_exact, numeric_rank,
+                      poly_resultant, to_sympy)
+from .reduced import first_reduction, polarise
 from .tol import BOND_SAME, W_CONSTANT_ZERO
 
 _FREE_SYMS = sp.symbols("u v w")
@@ -73,23 +74,22 @@ def find_bonds(constraints, tol: float = 1e-9,
     if len(constraints) != 5:
         raise BondError("exactly five constraint hyperplanes required")
     rows = [[exactify(c) for c in hp.coeffs] for hp in constraints]
-    pivots = choose_pivots(rows)
-    if pivots is None:
+    red = first_reduction(rows)
+    if red is None:
         raise DependentConstraintsError(
             "constraint hyperplanes are linearly dependent")
-    bonds = _find_bonds_with_pivots(rows, pivots, tol)
+    bonds = _find_bonds_of(red, tol)
     if cross_check:
-        alt = choose_pivots(rows, skip=pivots)
-        if alt is not None and not _same_bonds(
-                bonds, _find_bonds_with_pivots(rows, alt, tol)):
+        alt = first_reduction(rows, skip=red.pivots)
+        if alt is not None and not _same_bonds(bonds,
+                                               _find_bonds_of(alt, tol)):
             raise BondError(
                 "bond set depends on the pivot choice; the system is "
                 "numerically degenerate")
     return _pair_conjugates(bonds)
 
 
-def _find_bonds_with_pivots(rows, pivots, tol):
-    red = Reduction(rows, pivots)
+def _find_bonds_of(red, tol):
     conics = [q for q in _boundary_conics(red.T) if any(q)]
     bonds = []
     for point, mult in _solve_conic_system(conics, tol):
@@ -171,8 +171,8 @@ def _solve_conic_system(conics, tol):
     if free is not None:
         res = _conic_poly(free, (u, v))
     else:
-        res = _conic_poly(base, (w, u, v)).resultant(
-            _conic_poly(partner, (w, u, v)))
+        res = poly_resultant(_conic_poly(base, (w, u, v)),
+                             _conic_poly(partner, (w, u, v)))
     if res.is_zero:
         raise DegenerateBondSystemError(
             "two boundary quadrics share a common component")
@@ -398,12 +398,6 @@ def tangency_rank(constraints, b: Bond, tol: float = 1e-9) -> int:
         raise BondError("the given point is not a bond of this system")
     rows = list(phi_gradient(b.params)) + [hp.coeffs for hp in constraints]
     return numeric_rank(rows, tol)
-
-
-def phi_gradient_rank(b: Bond, tol: float = 1e-9) -> int:
-    """Rank of the three boundary-quadric gradients alone; < 3 marks a
-    singular point of the image variety."""
-    return numeric_rank(phi_gradient(b.params), tol)
 
 
 def constraints_of(p: Pentapod):

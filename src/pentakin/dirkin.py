@@ -19,9 +19,9 @@ import sympy as sp
 from .bonds import DependentConstraintsError, necessity_verdict
 from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
                      phi_gradient, phi_residuals, sphere_condition)
-from .polyalg import exactify, real_roots, to_float
+from .polyalg import exactify, poly_resultant, real_roots, to_float
 from .rearrange import require_member
-from .reduced import Reduction, choose_pivots, first_resultants
+from .reduced import first_reduction, first_resultants
 from .tol import (COMPLETION_RESIDUAL, DISPLACEMENT_CHECK, IMAG_CUT,
                   MP_POLISH_STOP, MP_POLISH_SWITCH, NEWTON_STOP, POSE_MERGE,
                   PRE_NEWTON_GATE)
@@ -66,12 +66,11 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     """
     legs = _legs_with_lengths(p, lengths, lengths2)
     rows = [[exactify(c) for c in sphere_condition(leg).coeffs] for leg in legs]
-    pivots = choose_pivots(rows)
-    if pivots is None:
+    red = first_reduction(rows)
+    if red is None:
         raise DependentConstraintsError(
             "sphere hyperplanes are linearly dependent: architecturally "
             "singular geometry")
-    red = Reduction(rows, pivots)
     quadrics = red.quadrics(_XS)
     # rotate the elimination roles when the last variable degenerates
     for rot in range(3):
@@ -88,7 +87,7 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     back = (_dense(xis[1]), _dense(quads[0]), order)
     elim = _primitive(elim)
     sols = _real_solutions(elim, red, back, legs, tol)
-    pivot_names = tuple(COORD_NAMES[c] for c in pivots)
+    pivot_names = tuple(COORD_NAMES[c] for c in red.pivots)
     return DKResult(elim, str(order[2]), tuple(sols), route, pivot_names)
 
 
@@ -105,9 +104,12 @@ def _legs_with_lengths(p, lengths, lengths2):
 
 
 def _eliminate_cascade(xis):
-    """The gcd of the nonzero pairwise resultants of `xis`, or None."""
+    """The gcd of the nonzero pairwise resultants of `xis`, or None.  A pair
+    of equal degree in the first generator, as the quartics of a generic
+    member are, takes the Bezout determinant of `poly_resultant`."""
     ups = [u for a, b in itertools.combinations(xis, 2)
-           if not (a.is_zero or b.is_zero or (u := a.resultant(b)).is_zero)]
+           if not (a.is_zero or b.is_zero
+                   or (u := poly_resultant(a, b)).is_zero)]
     return functools.reduce(sp.Poly.gcd, ups) if ups else None
 
 

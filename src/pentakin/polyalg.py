@@ -3,8 +3,10 @@
 Exact scalars are ``fractions.Fraction`` (rationals) and :class:`GaussRat`
 (Gaussian rationals p + q*i).  All geometric decisions elsewhere in the
 package run on exact scalars; floats enter only through root finding and
-trajectory sampling.  Polynomial heavy lifting (resultants, factorization,
-real root isolation) is delegated to sympy, numeric rank to numpy's SVD.
+trajectory sampling.  Resultants of two polynomials of one degree are
+closed forms on sympy's dense polynomial arithmetic; the other resultants,
+factorization and real root isolation are delegated to sympy, numeric rank
+to numpy's SVD.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from numbers import Rational as _RationalABC
 
 import numpy as np
 import sympy as sp
+from sympy.polys.densearith import (dmp_add, dmp_exquo, dmp_mul, dmp_neg,
+                                    dmp_sub)
+from sympy.polys.densebasic import dmp_zero, dmp_zero_p
 
 from .tol import FLOAT_ROOT
 
@@ -321,14 +326,6 @@ def echelon_solve(A, b):
     return pivots, sol, basis
 
 
-def mat_solve(A, b):
-    """Exact solve of square A x = b; raises SingularMatrixError."""
-    out = echelon_solve(A, b)
-    if out is None or len(out[0]) < len(A):
-        raise SingularMatrixError("singular system")
-    return out[1]
-
-
 def mat_solve_general(A, b):
     """Exact solve of a possibly rectangular/rank-deficient A x = b.
 
@@ -377,6 +374,67 @@ def resultant(p, q, var) -> sp.Expr:
     if pe == 0 or qe == 0:
         raise PolyalgError("resultant of the zero polynomial is undefined")
     return sp.expand(sp.resultant(pe, qe, var))
+
+
+def poly_resultant(P: sp.Poly, Q: sp.Poly):
+    """The resultant of two sp.Poly in their first generator, equal to
+    ``P.resultant(Q)`` in coefficients, sign, generators and domain.
+
+    Two polynomials of one degree n in the first generator, on the same
+    generators (at least two) and domain, take a closed form on sympy's
+    dense coefficient lists: for n = 2 the Sylvester formula
+    (a0 c1 - a1 c0)^2 - (a0 b1 - a1 b0)(b0 c1 - b1 c0), for n >= 3 the
+    determinant of the n x n Bezout matrix, which is (-1)^(n(n-1)/2) times
+    the resultant.  Everything else goes to sympy's subresultant PRS.
+    """
+    n, u, K = P.degree(), len(P.gens) - 2, P.domain
+    if u < 0 or n < 2 or Q.degree() != n or Q.gens != P.gens or Q.domain != K:
+        return P.resultant(Q)
+    f, g = P.rep.to_list(), Q.rep.to_list()
+
+    def cross(i, j):
+        """f_i g_j - f_j g_i, indices into the lists, highest degree first."""
+        return dmp_sub(dmp_mul(f[i], g[j], u, K), dmp_mul(f[j], g[i], u, K),
+                       u, K)
+
+    if n == 2:
+        ac = cross(0, 2)
+        res = dmp_sub(dmp_mul(ac, ac, u, K),
+                      dmp_mul(cross(0, 1), cross(1, 2), u, K), u, K)
+    else:
+        # (f(x) g(y) - f(y) g(x)) / (x - y): each pair of degrees i < j adds
+        # f_j g_i - f_i g_j to the entries (i + k, j - 1 - k), k < j - i
+        B = [[dmp_zero(u)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n + 1), 2):
+            c = cross(n - j, n - i)
+            for a in range(i, j):
+                B[a][i + j - 1 - a] = dmp_add(B[a][i + j - 1 - a], c, u, K)
+        det = _bareiss_det(B, u, K)
+        res = dmp_neg(det, u, K) if n * (n - 1) // 2 % 2 else det
+    return P.per(P.rep.new(res, K, u), remove=0)
+
+
+def _bareiss_det(B, u, K):
+    """Determinant of a square matrix of dense polynomials at level u over
+    K by fraction-free Bareiss elimination: each step divides exactly by
+    the previous pivot; a zero pivot swaps in a lower row, and a zero
+    pivot column makes the determinant zero."""
+    n, sign, prev = len(B), 1, None
+    for k in range(n - 1):
+        if dmp_zero_p(B[k][k], u):
+            r = next((r for r in range(k + 1, n)
+                      if not dmp_zero_p(B[r][k], u)), None)
+            if r is None:
+                return dmp_zero(u)
+            B[k], B[r], sign = B[r], B[k], -sign
+        p = B[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                e = dmp_sub(dmp_mul(p, B[i][j], u, K),
+                            dmp_mul(B[i][k], B[k][j], u, K), u, K)
+                B[i][j] = e if prev is None else dmp_exquo(e, prev, u, K)
+        prev = p
+    return B[-1][-1] if sign == 1 else dmp_neg(B[-1][-1], u, K)
 
 
 def real_roots(p, tol: float = FLOAT_ROOT):

@@ -85,14 +85,6 @@ def planar_vertex(p: Pentapod) -> ProjPoint:
     return ProjPoint(Fraction(1), *scaled)
 
 
-def planar_affine_relation(p: Pentapod) -> bool:
-    """Exact test for a singular affinity mapping base anchor points onto
-    platform anchor points (the planar counterpart of D567 = 0)."""
-    rows = [[*leg.base, Fraction(1)] for leg in p.legs]
-    rhs = [leg.a for leg in p.legs]
-    return mat_solve_general(rows, rhs) is not None
-
-
 # ---------------------------------------------------------------------------
 # non-planar correspondence
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 import sympy as sp
 
 from .kinmap import phi_residuals
-from .polyalg import (GaussRat, SingularMatrixError, echelon_solve, mat_det,
-                       to_sympy)
+from .polyalg import (GaussRat, SingularMatrixError, echelon_solve,
+                       poly_resultant, to_sympy)
 
 # Pivot sets in order of preference: n0 and y0..y3 first, which leaves the
 # platform direction x1, x2, x3 free; then the same with one y swapped for
@@ -40,16 +40,6 @@ _CANDIDATES = _PIVOT_PREFS + tuple(
     if piv not in _PIVOT_PREFS)
 # free coordinates are the non-pivots taken in this order
 _FREE_ORDER = (2, 3, 4, 0, 5, 6, 7, 8)
-
-
-def choose_pivots(rows, skip=None):
-    """The first pivot set, in preference order, whose 5x5 minor of the
-    exact constraint rows is invertible; None when there is none.  `skip`
-    excludes one set, so that a second, independent set can be drawn."""
-    for piv in _CANDIDATES:
-        if piv != skip and mat_det([[r[c] for c in piv] for r in rows]):
-            return piv
-    return None
 
 
 def polarise(T, residuals, cols):
@@ -76,20 +66,41 @@ def polarise(T, residuals, cols):
 
 def first_resultants(quads):
     """The resultants of the three pairs (Q2, Q3), (Q1, Q3), (Q1, Q2) of
-    sp.Poly in their first generator, as sp.Poly in the others."""
+    sp.Poly in their first generator, as sp.Poly in the others.  Pairs of
+    quadratics in that generator take the closed-form Sylvester formula of
+    `poly_resultant`."""
     Q1, Q2, Q3 = quads
-    return Q2.resultant(Q3), Q1.resultant(Q3), Q1.resultant(Q2)
+    return (poly_resultant(Q2, Q3), poly_resultant(Q1, Q3),
+            poly_resultant(Q1, Q2))
+
+
+def first_reduction(rows, skip=None):
+    """The Reduction for the first pivot set, in preference order, whose 5x5
+    minor of the exact constraint rows is invertible; None when there is
+    none.  Each candidate costs one elimination, the one that gives T.
+    `skip` excludes one set, so that a second, independent set can be
+    drawn."""
+    # a minor with a zero column is singular: a planar base zeroes x3, y3
+    zero = {c for c in range(9) if not any(r[c] for r in rows)}
+    for piv in _CANDIDATES:
+        if piv != skip and zero.isdisjoint(piv):
+            try:
+                return Reduction(rows, piv)
+            except SingularMatrixError:
+                continue
+    return None
 
 
 class Reduction:
     """Exact solution of five constraint rows for the given pivots.
 
     `T` holds the exact 9x4 matrix as nested lists, `Tn` the same as a NumPy
-    array (float when every entry is real, complex otherwise), and `free`
-    the coordinate indices of s1, s2, s3.
+    array (float when every entry is real, complex otherwise), `pivots` the
+    solved coordinate indices and `free` those of s1, s2, s3.
     """
 
     def __init__(self, rows, pivots):
+        self.pivots = tuple(pivots)
         self.free = tuple(c for c in _FREE_ORDER if c not in pivots)
         # with the columns in this order, T's columns are the echelon
         # null-space basis of the rows

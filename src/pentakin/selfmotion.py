@@ -24,7 +24,7 @@ from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
-from .reduced import Reduction, choose_pivots, first_resultants
+from .reduced import Reduction, first_reduction, first_resultants
 from .tol import (CELL_MERGE, LEFTOVER_IMAG_CUT, LEFTOVER_RESIDUAL_FLOOR,
                   LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
                   SAMPLE_RESIDUAL_SCALE)
@@ -181,7 +181,7 @@ def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
         w = C5 / a5
         p2 = -(a3 - a5) * (GaussRat(A5) - _I * GaussRat(B5)) / a5
         r5sq = (r1sq - (two_re) * a5 + a5 * a5
-                + (a5 * a5 + B5 * B5 + C5 * C5) * (two_re - a5) / a5)
+                + (A5 * A5 + B5 * B5 + C5 * C5) * (two_re - a5) / a5)
         if to_float(r5sq) <= 0:
             raise DegenerateDesignError(
                 f"the remaining relation gives a nonpositive squared length {r5sq}")
@@ -212,7 +212,7 @@ def remaining_relation_residual(d: SelfMotionDesign):
     if d.type == 5:
         a5 = d.a5
         s = 2 * a2.re
-        return ((a5 * a5 + B5 * B5 + C5 * C5) * (s - a5)
+        return ((A5 * A5 + B5 * B5 + C5 * C5) * (s - a5)
                 + (d.r1sq - d.r5sq - s * a5 + a5 * a5) * a5)
     raise SelfMotionError(f"unknown design type {d.type}")
 
@@ -415,7 +415,7 @@ def _design_reduction(design):
     x3, which its angle condition pins, and keeps x1, x2 and one y free."""
     rows = [[exactify(c) for c in hp.coeffs] for hp in design.constraints()]
     if design.type in (1, 2):
-        return Reduction(rows, choose_pivots(rows))
+        return first_reduction(rows)
     return Reduction(rows, (0, 4, 6, 7, 8) if design.m5[2] != 0
                      else (0, 4, 5, 6, 7))
 

@@ -7,10 +7,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentakin.polyalg import (GaussRat, PolyalgError, SingularMatrixError,
-                              _rounded_root, exactify, mat_det, mat_nullspace,
-                              mat_rank, mat_solve, mat_solve_general,
-                              numeric_rank, real_roots, resultant, to_sympy)
+from pentakin.polyalg import (GaussRat, PolyalgError, _rounded_root,
+                              echelon_solve, exactify, mat_det, mat_nullspace,
+                              mat_rank, mat_solve_general, numeric_rank,
+                              poly_resultant, real_roots, resultant, to_sympy)
 
 x, b, c = sp.symbols("x b c")
 
@@ -69,6 +69,86 @@ class TestResultant:
         q = sp.prod([x - s for s in ss])
         expected = sp.prod([sp.Integer(r - s) for r in rs for s in ss])
         assert resultant(p, q, x) == expected
+
+
+_GENS = sp.symbols("x y z")
+_DOMAINS = {"ZZ": sp.ZZ, "QQ": sp.QQ, "ZZ_I": sp.ZZ_I}
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two sp.Poly on one to three generators over ZZ, QQ or ZZ_I, of degree
+    0-5 in the first, of equal degree half of the time.  Small coefficients,
+    many of them zero, make zero Bareiss pivots common; the leading term
+    may involve the other generators, and a drawn common factor makes the
+    resultant vanish."""
+    dom = draw(st.sampled_from(sorted(_DOMAINS)))
+    gens = _GENS[:draw(st.integers(1, 3))]
+    rest = st.tuples(*[st.integers(0, 1)] * (len(gens) - 1))
+
+    def coeff():
+        c = sp.Integer(draw(st.integers(-2, 2)))
+        if dom == "QQ":
+            return c / draw(st.integers(1, 3))
+        if dom == "ZZ_I":
+            return c + sp.I * draw(st.integers(-1, 1))
+        return c
+
+    def poly(deg):
+        terms = {(draw(st.integers(0, deg)), *draw(rest)): coeff()
+                 for _ in range(draw(st.integers(0, 5)))}
+        terms[(deg, *draw(rest))] = sp.Integer(draw(st.integers(1, 2)))
+        return sp.Poly.from_dict(terms, *gens, domain=_DOMAINS[dom])
+
+    n = draw(st.integers(0, 5))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 5))
+    P, Q = poly(n), poly(m)
+    if len(gens) > 1 and max(n, m) < 5 and draw(st.booleans()):
+        h = poly(1)
+        P, Q = P * h, Q * h
+    return P, Q
+
+
+def _same_resultant(got, want):
+    """Equal value, sign, generators and domain."""
+    if not isinstance(want, sp.Poly):
+        return type(got) is type(want) and got == want
+    return (isinstance(got, sp.Poly) and got.gens == want.gens
+            and got.domain == want.domain
+            and got.rep.to_list() == want.rep.to_list())
+
+
+class TestPolyResultant:
+
+    @given(_poly_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_subresultant_prs(self, pair):
+        P, Q = pair
+        assert _same_resultant(poly_resultant(P, Q), P.resultant(Q))
+
+    @pytest.mark.parametrize("P, Q", [
+        # non-constant leading coefficients
+        (x ** 2 * b + c * x - 1, (b + c) * x ** 2 + 3 * x + c),
+        (x ** 5 * b - x ** 2 + 2, 3 * x ** 5 + c * x - 2 * x ** 2 + 4),
+        # f1 g0 = f0 g1 zeroes the first Bareiss pivot: a row swap
+        (x ** 3 + c * x ** 2 + x + 1, b * x ** 3 + 2 * x + 2),
+        # a common factor: the resultant vanishes; with the factor x the
+        # first pivot column of the Bezout matrix is zero
+        ((x - b) * (x ** 3 + c), (x - b) * (x ** 3 - x * c + 1)),
+        (x ** 3 * b + x ** 2 + c * x, x ** 3 + b * x ** 2 + x),
+        # unequal degrees and constants go to the PRS
+        (x ** 4 + b, x ** 3 * c - 1),
+        (b * c + 1 + 0 * x, x ** 2 + b),
+    ])
+    def test_fixed_cases(self, P, Q):
+        P, Q = sp.Poly(P, x, b, c), sp.Poly(Q, x, b, c)
+        assert _same_resultant(poly_resultant(P, Q), P.resultant(Q))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bezout_sign(self, n):
+        # Res(x^n - 1, x^n - 2) = (-1)^n; det(Bezout) = (-1)^(n(n-1)/2) Res
+        P, Q = sp.Poly(x ** n - 1, x, b), sp.Poly(x ** n - 2, x, b)
+        assert poly_resultant(P, Q).as_expr() == (-1) ** n
 
 
 class TestRealRoots:
@@ -226,7 +306,8 @@ class TestExactLinalg:
 
     def test_solve_roundtrip(self):
         A = [[F(2), F(1)], [F(1), F(3)]]
-        sol = mat_solve(A, [F(5), F(10)])
+        sol, basis = mat_solve_general(A, [F(5), F(10)])
+        assert basis == []
         assert [sum(A[i][j] * sol[j] for j in range(2)) for i in range(2)] \
             == [F(5), F(10)]
 
@@ -284,8 +365,9 @@ class TestEliminationAgainstSympy:
         if rows == cols:
             assert mat_det(A) == exactify(M.det())
             if rank < rows:
-                with pytest.raises(SingularMatrixError):
-                    mat_solve(A, b)
+                # singular: fewer pivots than rows, or inconsistent
+                out = echelon_solve(A, b)
+                assert out is None or len(out[0]) < rows
         R, piv = _sympy([row + [v] for row, v in zip(A, b)]).rref()
         out = mat_solve_general(A, b)
         if cols in piv:
@@ -306,4 +388,4 @@ class TestEliminationAgainstSympy:
         assert basis == want_basis
         assert mat_nullspace(A) == want_basis
         if rows == cols == rank:
-            assert mat_solve(A, b) == want
+            assert echelon_solve(A, b) == (list(range(cols)), want, [])

@@ -12,9 +12,8 @@ from pentakin.archsing import WrongBranchError
 from pentakin.geom import ProjPoint
 from pentakin.kinmap import Leg, Pentapod
 from pentakin.rearrange import (A_SYM, ArchSingularInputError,
-                                ExceptionalImage, classify_type,
-                                planar_affine_relation, planar_vertex,
-                                replacement_cubic, sigma)
+                                ExceptionalImage, classify_type, cubic_kind,
+                                planar_vertex, replacement_cubic, sigma)
 
 
 class TestReplacementCubic:
@@ -324,10 +323,24 @@ class TestDarbouxPoints:
         assert guarded[1] == verdict and not verdict.has_bond
 
 
-class TestPlanarAffineRelation:
+def _lifted(p, zs=(0, 0, 1, 0, 2)):
+    """A planar pentapod with its base points lifted off the plane z = 0;
+    an affine relation between the platform coordinates and the in-plane
+    base coordinates survives the lift."""
+    return Pentapod(tuple(Leg(leg.a, (*leg.base[:2], z))
+                          for leg, z in zip(p.legs, zs)))
+
+
+class TestAffineRelation:
 
     def test_ar(self):
-        assert planar_affine_relation(ar_planar_pentapod())
+        p = _lifted(ar_planar_pentapod())
+        corr = replacement_cubic(p)
+        assert corr.affine_relation
+        assert cubic_kind(corr) == classify_type(p).kind == "type5"
 
     def test_non_ar(self):
-        assert not planar_affine_relation(ideal_vertex_pentapod())
+        p = _lifted(ideal_vertex_pentapod())
+        corr = replacement_cubic(p)
+        assert not corr.affine_relation
+        assert cubic_kind(corr) == classify_type(p).kind == "type1"

@@ -16,7 +16,8 @@ from pentakin.dirkin import solve_dk
 from pentakin.kinmap import gamma_residuals, lift_study, phi_residuals
 from pentakin import polyalg
 from pentakin.polyalg import exactify, to_sympy
-from pentakin.reduced import Reduction, choose_pivots, polarise
+from pentakin.reduced import (_CANDIDATES, Reduction, first_reduction,
+                              polarise)
 from test_dirkin import forward_lengths2, random_study
 
 
@@ -49,9 +50,13 @@ def systems(type1_reference_design, type2_reference_design,
     ]
 
 
+def _reduce(rows, pivots):
+    return Reduction(rows, pivots) if pivots else first_reduction(rows)
+
+
 def test_rows_annihilate_T_in_both_charts(systems):
     for rows, pivots in systems:
-        red = Reduction(rows, pivots or choose_pivots(rows))
+        red = _reduce(rows, pivots)
         # x0 and the free coordinates pass through unchanged
         assert red.T[1] == [1, 0, 0, 0]
         for j, c in enumerate(red.free, start=1):
@@ -67,7 +72,7 @@ def test_rows_annihilate_T_in_both_charts(systems):
 def test_numeric_matches_exact(systems):
     rng = random.Random(5)
     for rows, pivots in systems:
-        red = Reduction(rows, pivots or choose_pivots(rows))
+        red = _reduce(rows, pivots)
         for _ in range(5):
             v = [F(1)] + [rand_frac(rng) for _ in range(3)]
             exact = [sum(t * e for t, e in zip(row, v)) for row in red.T]
@@ -83,18 +88,31 @@ def test_numeric_matches_exact(systems):
 
 def test_pivot_choice(type1_reference_pentapod):
     rows = _rows(constraints_of(type1_reference_pentapod))
-    piv = choose_pivots(rows)
+    piv = first_reduction(rows).pivots
     assert piv == (0, 5, 6, 7, 8)
-    alt = choose_pivots(rows, skip=piv)
+    alt = first_reduction(rows, skip=piv).pivots
     assert alt not in (None, piv)
     # the free coordinates follow x1, x2, x3, n0, y0, ...
     assert Reduction(rows, alt).free == tuple(
         c for c in (2, 3, 4, 0, 5, 6, 7, 8) if c not in alt)
-    assert choose_pivots(rows[:4] + [rows[0]]) is None
+    assert first_reduction(rows[:4] + [rows[0]]) is None
+
+
+def test_chooser_takes_first_regular_minor(systems):
+    """first_reduction chooses the first candidate, in order, whose 5x5
+    minor has a nonzero determinant, and with `skip` the next one."""
+    for rows, _ in systems:
+        regular = [piv for piv in _CANDIDATES
+                   if polyalg.mat_det([[r[c] for c in piv] for r in rows])]
+        red = first_reduction(rows)
+        assert red.pivots == regular[0]
+        alt = first_reduction(rows, skip=red.pivots)
+        assert (alt and alt.pivots) == (regular[1:] or [None])[0]
 
 
 def test_one_elimination(monkeypatch, systems):
-    """A Reduction takes T from one run of the elimination kernel."""
+    """A Reduction takes T from one run of the elimination kernel, and the
+    pivot chooser runs no other."""
     calls = []
 
     def counted(*args):
@@ -103,10 +121,18 @@ def test_one_elimination(monkeypatch, systems):
     eliminate = polyalg._eliminate
     monkeypatch.setattr(polyalg, "_eliminate", counted)
     for rows, pivots in systems:
-        pivots = pivots or choose_pivots(rows)
         calls.clear()
-        Reduction(rows, pivots)
-        assert len(calls) == 1
+        red = _reduce(rows, pivots)
+        if pivots:
+            assert len(calls) == 1
+            continue
+        # the chooser eliminates once per candidate up to its choice, the
+        # last of these giving T, and skips those with a zero column
+        zero = {c for c in range(9) if not any(r[c] for r in rows)}
+        tried = [piv for piv in
+                 _CANDIDATES[:_CANDIDATES.index(red.pivots) + 1]
+                 if zero.isdisjoint(piv)]
+        assert len(calls) == len(tried)
 
 
 def test_singular_pivot_minor(type1_reference_pentapod):
@@ -126,7 +152,7 @@ def test_singular_pivot_minor(type1_reference_pentapod):
 def test_polarised_quadrics_are_exact(systems):
     rng = random.Random(7)
     for rows, pivots in systems:
-        red = Reduction(rows, pivots or choose_pivots(rows))
+        red = _reduce(rows, pivots)
         for residuals, cols in ((phi_residuals, range(4)),
                                 (gamma_residuals, (1, 2, 3))):
             quads = polarise(red.T, residuals, cols)
@@ -216,3 +242,15 @@ def test_no_factorisation(monkeypatch, rng, type1_reference_pentapod):
     assert guarded == answers()
     assert guarded[0][0][3].degree() == 8
     assert guarded[1][1].degree() == 4
+
+
+def test_no_prs_on_equal_degrees(monkeypatch, rng):
+    """On a criterion-05 member every resultant DK takes is of two
+    polynomials of equal degree, so poly_resultant's closed forms take all
+    of them: DK gives the same answer with sympy's PRS patched to raise."""
+    answers = _dk_and_trace_answers(rng, ())
+    with monkeypatch.context() as mp:
+        mp.setattr(sp.Poly, "resultant", _forbidden)
+        guarded = answers()
+    assert guarded == answers()
+    assert guarded[0][3].degree() == 8

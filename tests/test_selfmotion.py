@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from conftest import random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
@@ -15,7 +16,8 @@ from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  Reality, SelfMotionError,
                                  circular_translation_check,
                                  duporcq_check, real_legs_from_design,
-                                 reality, remaining_relation_residual,
+                                 _design_reduction, reality,
+                                 remaining_relation_residual,
                                  synth_leg_params, trace)
 
 _I = GaussRat(0, 1)
@@ -46,6 +48,23 @@ class TestSynthesis:
         assert d.p3 == GaussRat(1, -1)
         assert d.r5sq == 2
         assert remaining_relation_residual(d) == 0
+
+    @pytest.mark.parametrize("m5, r5sq", [
+        ((2, 1, F(1, 2)), F(117, 4)),
+        ((3, 1, 0), F(34)),
+        ((F(1, 2), -2, F(1, 3)), F(1021, 36)),
+    ])
+    def test_type5_relation_with_A5_unlike_a5(self, m5, r5sq):
+        """The Type 5 relation carries A5^2, where A5 != a5 tells it from
+        a5^2.  Independently of that formula, a design has a self-motion
+        iff its reduced Q3 is a multiple of Q1 or vanishes."""
+        d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=m5, r1sq=25)
+        assert d.r5sq == r5sq
+        assert remaining_relation_residual(d) == 0
+        Q1, _, Q3 = _design_reduction(d).quadrics(sp.symbols("s1 s2 s3"))
+        assert Q3.is_zero or (Q3 * Q1.LC() - Q1 * Q3.LC()).is_zero
+        if m5 == (2, 1, F(1, 2)):
+            assert trace(d, samples=15).samples
 
     def test_conjugate_symmetry(self):
         for d in (synth_leg_params(1, a2=GaussRat(2, 3), a4=1,
@@ -297,12 +316,11 @@ class TestTrace:
         # the pairwise eliminations of the reduced quadrics are quartic in
         # the remaining coordinates and only quadratic in the branch one
         import sympy as sp
-        from pentakin.reduced import Reduction, choose_pivots
+        from pentakin.reduced import first_reduction
         rows = [[exactify(c) for c in hp.coeffs]
                 for hp in type1_reference_design.constraints()]
         s1, s2, s3 = sp.symbols("s1 s2 s3")
-        Q1, Q2, Q3 = Reduction(rows, choose_pivots(rows)).quadrics(
-            (s1, s2, s3))
+        Q1, Q2, Q3 = first_reduction(rows).quadrics((s1, s2, s3))
         for A, B in ((Q1, Q3), (Q2, Q3), (Q1, Q2)):
             xi = A.resultant(B)
             assert xi.total_degree() <= 4
