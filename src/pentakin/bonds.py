@@ -20,7 +20,7 @@ from .kinmap import (Leg, MotionParams, Pentapod, gamma_residuals,
 from .polyalg import (GaussRat, exactify, is_exact, numeric_rank,
                       poly_resultant, to_sympy)
 from .reduced import first_reduction, polarise
-from .tol import BOND_SAME, W_CONSTANT_ZERO
+from .tol import BOND_SAME, DEFAULT_TOL, W_CONSTANT_ZERO
 
 _FREE_SYMS = sp.symbols("u v w")
 
@@ -61,7 +61,7 @@ class NecessityVerdict:
 # find_bonds
 # ---------------------------------------------------------------------------
 
-def find_bonds(constraints, tol: float = 1e-9,
+def find_bonds(constraints, tol: float = DEFAULT_TOL,
                cross_check: bool = True) -> list[Bond]:
     """All bonds of a 5-hyperplane constraint system, up to scalar multiples.
 
@@ -172,7 +172,7 @@ def _solve_conic_system(conics, tol):
         res = _conic_poly(free, (u, v))
     else:
         res = poly_resultant(_conic_poly(base, (w, u, v)),
-                             _conic_poly(partner, (w, u, v)))
+                             _conic_poly(partner, (w, u, v)))[0]
     if res.is_zero:
         raise DegenerateBondSystemError(
             "two boundary quadrics share a common component")
@@ -380,7 +380,7 @@ def _proj_same(m1: MotionParams, m2: MotionParams, tol=BOND_SAME) -> bool:
 # tangency rank and the composite verdict
 # ---------------------------------------------------------------------------
 
-def is_bond(constraints, m: MotionParams, tol: float = 1e-9) -> bool:
+def is_bond(constraints, m: MotionParams, tol: float = DEFAULT_TOL) -> bool:
     if m.x0:
         return False
     vals = list(gamma_residuals(m)) + [hp.evaluate(m) for hp in constraints]
@@ -390,7 +390,7 @@ def is_bond(constraints, m: MotionParams, tol: float = 1e-9) -> bool:
     return all(abs(complex(v)) <= tol * scale for v in vals)
 
 
-def tangency_rank(constraints, b: Bond, tol: float = 1e-9) -> int:
+def tangency_rank(constraints, b: Bond, tol: float = DEFAULT_TOL) -> int:
     """Rank of the 8x9 matrix of gradients of the three boundary quadrics
     and the five hyperplanes at the bond; rank < 8 is the second necessary
     condition for a self-motion."""
@@ -411,7 +411,7 @@ def constraints_of(p: Pentapod):
     return out
 
 
-def necessity_verdict(p, tol: float = 1e-9) -> NecessityVerdict:
+def necessity_verdict(p, tol: float = DEFAULT_TOL) -> NecessityVerdict:
     """Both bond-based necessary conditions for a self-motion.
 
     Accepts a Pentapod (sphere constraints are built from its legs) or an

@@ -23,7 +23,7 @@ from .polyalg import GaussRat, exactify, to_float
 from .rearrange import ArchSingularInputError, classify_type
 from .selfmotion import (SelfMotionError, real_legs_from_design, reality,
                          synth_leg_params, trace)
-from .tol import DISPLACEMENT_CHECK
+from .tol import DEFAULT_TOL, DISPLACEMENT_CHECK
 
 log = logging.getLogger("pentakin")
 
@@ -356,11 +356,11 @@ def build_parser():
                          help="serialize rationals as p/q strings")
         sp_.add_argument("--out", help="write the report to a file")
         sp_.add_argument(
-            "--tol", type=float, default=1e-9,
+            "--tol", type=float, default=DEFAULT_TOL,
             help="tolerance of the numeric root and residual tests "
-                 "(default 1e-9)" if name in _NUMERIC_COMMANDS else
+                 f"(default {DEFAULT_TOL})" if name in _NUMERIC_COMMANDS else
                  "ignored: validate, classify and synth are exact, and "
-                 "maxreal keeps the default 1e-9")
+                 f"maxreal keeps the default {DEFAULT_TOL}")
 
     for name, fn, needs_geom in (
             ("classify", cmd_classify, True),

@@ -22,9 +22,9 @@ from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
 from .polyalg import exactify, poly_resultant, real_roots, to_float
 from .rearrange import require_member
 from .reduced import first_reduction, first_resultants
-from .tol import (COMPLETION_RESIDUAL, DISPLACEMENT_CHECK, IMAG_CUT,
-                  MP_POLISH_STOP, MP_POLISH_SWITCH, NEWTON_STOP, POSE_MERGE,
-                  PRE_NEWTON_GATE)
+from .tol import (COMPLETION_RESIDUAL, DEFAULT_TOL, DISPLACEMENT_CHECK,
+                  IMAG_CUT, MP_POLISH_STOP, MP_POLISH_SWITCH, NEWTON_STOP,
+                  POSE_MERGE, START_CUT)
 
 _XS = sp.symbols("q1 q2 q3")
 _FLOAT_BITS = 1000          # see _to_complex
@@ -55,14 +55,18 @@ class DKResult:
 
 
 def solve_dk(p: Pentapod, lengths=None, lengths2=None,
-             tol: float = 1e-9) -> DKResult:
+             tol: float = DEFAULT_TOL) -> DKResult:
     """Solve the direct kinematics for the given leg lengths.
 
     The five sphere conditions are solved exactly for five coordinates in
     the x0 = 1 chart; one exact elimination, the gcd of the pairwise
     resultants of the quadrics' first resultants, gives a univariate
-    polynomial of degree <= 8 with no factorisation.  Real roots whose
-    back-substitution passes the residual filter give the solutions.
+    polynomial of degree <= 8 with no factorisation.  At each real root,
+    the first subresultant of those pairs whose principal coefficient does
+    not vanish there (an exact test) gives the second coordinate, or a
+    later one where its start misses the quadrics; the null vector of the
+    quadrics' coefficients in the first coordinate gives that one, and one
+    Newton polish and the residual filter give the solutions.
     """
     legs = _legs_with_lengths(p, lengths, lengths2)
     rows = [[exactify(c) for c in sphere_condition(leg).coeffs] for leg in legs]
@@ -76,17 +80,15 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     for rot in range(3):
         order = _XS[rot:] + _XS[:rot]
         quads = tuple(q.reorder(*order) for q in quadrics)
-        xis = first_resultants(quads)
-        elim = _eliminate_cascade(xis)
+        elim, chains = _eliminate_cascade(first_resultants(quads))
         if elim is not None and elim.degree() > 0:
             route = f"cascade-rot{rot}" if rot else "cascade"
             break
     else:
         raise DirkinError("elimination collapsed; degenerate geometry")
-    # back-substitution data: Res(Q1, Q3) in (f2, f3) and Q1 in (f1, f2, f3)
-    back = (_dense(xis[1]), _dense(quads[0]), order)
     elim = _primitive(elim)
-    sols = _real_solutions(elim, red, back, legs, tol)
+    sols = _real_solutions(red, _starts(elim, chains, quads, rot, red),
+                           legs, tol)
     pivot_names = tuple(COORD_NAMES[c] for c in red.pivots)
     return DKResult(elim, str(order[2]), tuple(sols), route, pivot_names)
 
@@ -104,13 +106,14 @@ def _legs_with_lengths(p, lengths, lengths2):
 
 
 def _eliminate_cascade(xis):
-    """The gcd of the nonzero pairwise resultants of `xis`, or None.  A pair
-    of equal degree in the first generator, as the quartics of a generic
-    member are, takes the Bezout determinant of `poly_resultant`."""
-    ups = [u for a, b in itertools.combinations(xis, 2)
-           if not (a.is_zero or b.is_zero
-                   or (u := poly_resultant(a, b)).is_zero)]
-    return functools.reduce(sp.Poly.gcd, ups) if ups else None
+    """The gcd of the nonzero pairwise resultants of `xis` (None when there
+    is none) and the subresultant chains of the pairs, in pair order.  A
+    pair of equal degree in the first generator, as the quartics of a
+    generic member are, takes the Bezout closed form of `poly_resultant`."""
+    chains = [poly_resultant(a, b) for a, b in itertools.combinations(xis, 2)
+              if not (a.is_zero or b.is_zero)]
+    ups = [c[0] for c in chains if not c[0].is_zero]
+    return (functools.reduce(sp.Poly.gcd, ups) if ups else None), chains
 
 
 def _primitive(poly: sp.Poly) -> sp.Poly:
@@ -121,23 +124,38 @@ def _primitive(poly: sp.Poly) -> sp.Poly:
 
 
 def _to_complex(coeffs):
-    """Exact coefficients of one polynomial as complex floats.  Beyond
-    2**_FLOAT_BITS, near float64's limit of 2**1024, the list is first
-    divided by one exact power of two: that scales the polynomial and
+    """Exact integer coefficients of one polynomial as complex floats.
+    Beyond 2**_FLOAT_BITS, near float64's limit of 2**1024, the list is
+    first divided by one exact power of two: that scales the polynomial and
     leaves its roots unchanged, where complex(c) would give inf."""
-    bits = max(int(abs(c)).bit_length() for c in coeffs)
+    bits = max(abs(int(c)).bit_length() for c in coeffs)
     if bits <= _FLOAT_BITS:
-        return [complex(c) for c in coeffs]
-    return [complex(sp.Rational(c, 2 ** bits)) for c in coeffs]
+        return [complex(int(c)) for c in coeffs]
+    return [complex(int(c) / 2 ** bits) for c in coeffs]
 
 
-def _dense(p: sp.Poly):
-    """The coefficients of p as a complex array indexed by exponents."""
-    out = np.zeros([max(d, 0) + 1 for d in p.degree_list()], dtype=complex)
-    monos, coeffs = zip(*p.terms())
+def _dense(q: sp.Poly):
+    """The coefficients of a quadric as a complex 3x3x3 array indexed by
+    exponents."""
+    out = np.zeros((3, 3, 3), dtype=complex)
+    monos, coeffs = zip(*q.terms())
     for mono, c in zip(monos, _to_complex(coeffs)):
         out[mono] = c
     return out
+
+
+def _member_at(S: sp.Poly, r: float):
+    """The coefficients, highest degree first, of S in its first generator
+    with the second at r, as complex floats.  They are evaluated exactly, as
+    the integers d**D S(., n/d) for r = n/d: near a close pair of roots a
+    subresultant's coefficients cancel heavily, and float evaluation loses
+    the root."""
+    n, d = r.as_integer_ratio()
+    rows = S.rep.to_list()
+    D = max(len(row) for row in rows)
+    pw = [n ** k * d ** (D - 1 - k) for k in range(D)]
+    return _to_complex([sum(c * p for c, p in zip(reversed(row), pw))
+                        for row in rows])
 
 
 def _in_first(coeffs, *values):
@@ -148,50 +166,50 @@ def _in_first(coeffs, *values):
     return coeffs[::-1]
 
 
-def _complete(root, red, back, tol):
-    """Back-substitute an elimination root: every completion that passes
-    the residual filter, as (error, configuration), best first."""
-    r13, q1, order = back
-    t = complex(root)
-    T = red.Tn
-    cols = [1 + _XS.index(f) for f in order]    # columns of f1, f2, f3 in T
+def _first_candidates(rows, f2, f3):
+    """The first coordinate at (f2, f3): the null vector (f1^2, f1, 1) of
+    the quadrics' coefficient rows in f1; where those have rank one, both
+    roots of the row with the largest f1^2 coefficient."""
+    M = np.array([_in_first(q, f2, f3) for q in rows])
+    _, s, vh = np.linalg.svd(M)
+    if s[1] <= START_CUT * s[0]:
+        return np.roots(M[np.argmax(np.abs(M[:, 0]))])
+    v = vh[2].conj()
+    return [v[1] / v[2]]
 
-    def coords(v):
-        x = np.empty(4, dtype=complex)
-        x[[0, *cols]] = (1, *v, t)
-        return T @ x
 
-    def newton(rows, v):
-        """Newton at f3 = t in (f1, f2) on the quadrics `rows`."""
-        def F_(v):
-            return np.array(phi_residuals(coords(v)))[rows]
+def _starts(elim, chains, quads, rot, red):
+    """Start points (s1, s2, s3) of the polish, root by root.  f3 is a real
+    root r of elim, f2 a root of the first chain member S_j, pairs in order
+    and j ascending, whose principal coefficient psc_j does not vanish at
+    r, and f1 comes from the quadrics at (f2, r).  The psc test is exact: r
+    is a root of gcd(elim, psc_j) exactly when its correctly rounded float
+    is among that gcd's real roots.  S_j gives the exact f2 at the exact
+    root; at its float, f2 can move far where another root of elim lies a
+    few ulps away (float lengths split a double root).  Where no start
+    meets the quadrics, the next members are tried in turn until one
+    gives a start that does."""
+    members = [S for c in chains for S in c[1:] if S.degree() > 0]
+    # each quadric scaled by its largest coefficient
+    rows = [d / np.abs(d).max() for d in map(_dense, quads)]
 
-        def J_(v):
-            return (np.array(phi_gradient(coords(v)), dtype=complex)[rows]
-                    @ T[:, cols[:2]])
-        return np.array(_newton(F_, J_, v, 4)[1])
+    @functools.cache
+    def vanishing(k):
+        psc = sp.Poly(members[k].rep.to_list()[0], *elim.gens)
+        return {x for x, _ in real_roots(elim.gcd(psc))}
 
-    out = []
-    # solve the pair (Q1, Q3) in (f1, f2) at f3 = t, filter with Q2; np.roots
-    # drops leading zeros and finds no root of a constant
-    for r2 in np.roots(_in_first(r13, t)):
-        for r1 in np.roots(_in_first(q1, r2, t)):
-            f12 = np.array([r1, r2])
-            if _scaled_residual(coords(f12).tolist()) > PRE_NEWTON_GATE:
-                continue
-            # np.roots finds an f2 shared by two points of the pair only to
-            # sqrt(eps); Newton on the pair at fixed t restores the rest.
-            # Where the pair is tangent at t its Jacobian is singular and
-            # Newton stalls near 1e-7; least squares on all three quadrics
-            # then finishes, as Q2's gradient restores the full rank
-            for rows in ([0, 2], [0, 1, 2]):
-                f12 = newton(rows, f12)
-                vals = coords(f12).tolist()
-                err = _scaled_residual(vals)
-                if err <= max(tol, COMPLETION_RESIDUAL):
-                    out.append((err, MotionParams(*vals)))
-                    break
-    return sorted(out, key=lambda e: e[0])
+    def meeting(S, r):
+        for f2 in np.roots(_member_at(S, r)):
+            for f1 in _first_candidates(rows, f2, r):
+                point = np.roll([f1, f2, r], rot)      # (s1, s2, s3)
+                vals = (red.Tn @ np.r_[1, point]).tolist()
+                if _scaled_residual(vals) <= START_CUT:
+                    yield point
+
+    for r, _ in real_roots(elim):
+        yield from next((starts for k, S in enumerate(members)
+                         if r not in vanishing(k)
+                         and (starts := list(meeting(S, r)))), [])
 
 
 def _scaled_residual(vals):
@@ -200,46 +218,38 @@ def _scaled_residual(vals):
             / (1 + sum(abs(v) ** 2 for v in vals)))
 
 
-def _newton(F_, J_, x, steps):
-    """Damped least-squares Newton on F_ from x; the best iterate by
-    residual, as (residual, point)."""
-    best = (float(np.abs(F_(x)).max()), tuple(x))
-    for _ in range(steps):
-        try:
-            dx = np.linalg.lstsq(J_(x), F_(x), rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        # damped steps guard against overshooting near root collisions
-        for lam in (1.0, 0.5, 0.25):
-            cand = x - lam * dx
-            r = float(np.abs(F_(cand)).max())
-            if r < best[0]:
-                best = (r, tuple(cand))
-                x = cand
-                break
-        else:
-            break
-        if best[0] < NEWTON_STOP * (1 + float(np.abs(x).max()) ** 2):
-            break
-    return best
-
-
 def _polish(red, point, steps: int = 30):
-    """Newton refinement of a candidate root (s1, s2, s3) of the three
-    reduced quadrics; returns the best iterate by residual."""
+    """Damped least-squares Newton on the three reduced quadrics from a
+    point (s1, s2, s3): the last iterate, which has the least residual, or
+    the mpmath polish's where float64 cannot reach MP_POLISH_SWITCH."""
     T = red.Tn
 
     def F_(v):
         return np.array(phi_residuals(T @ np.r_[1, v]), dtype=complex)
 
-    def J_(v):
-        return np.array(phi_gradient(T @ np.r_[1, v]), dtype=complex) @ T[:, 1:]
-
-    best = _newton(F_, J_, np.array(point, dtype=complex), steps)
-    scale = 1 + max(abs(v) for v in best[1]) ** 2
-    if best[0] > MP_POLISH_SWITCH * scale:
-        return _polish_mp(red, best[1])
-    return best[1]
+    x = np.array(point, dtype=complex)
+    fx = F_(x)
+    r = np.abs(fx).max()
+    for _ in range(steps):
+        if r < NEWTON_STOP * (1 + np.abs(x).max() ** 2):
+            break
+        J = np.array(phi_gradient(T @ np.r_[1, x]), dtype=complex) @ T[:, 1:]
+        try:
+            dx = np.linalg.lstsq(J, fx, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        # damped steps guard against overshooting near root collisions
+        for lam in (1.0, 0.5, 0.25):
+            cand = x - lam * dx
+            fc = F_(cand)
+            if np.abs(fc).max() < r:
+                x, fx, r = cand, fc, np.abs(fc).max()
+                break
+        else:
+            break
+    if r > MP_POLISH_SWITCH * (1 + np.abs(x).max() ** 2):
+        return _polish_mp(red, x)
+    return x
 
 
 def _polish_mp(red, point, steps: int = 40):
@@ -266,30 +276,29 @@ def _polish_mp(red, point, steps: int = 40):
         return tuple(complex(v) for v in best[1])
 
 
-def _real_solutions(elim, red, back, legs, tol):
+def _real_solutions(red, starts, legs, tol):
     sols = []
     # a root may carry several poses, e.g. a pose and its mirror image in
-    # a planar base; two completions of one pose polish to the same point
-    for root, _ in real_roots(elim):
-        for _, m in _complete(root, red, back, tol):
-            start = [m.coords()[i] for i in red.free]
-            vals = (red.Tn @ np.r_[1, _polish(red, start)]).tolist()
-            scale = 1 + sum(abs(v) ** 2 for v in vals)
-            err = _scaled_residual(vals)
-            if any(abs(complex(c).imag) > IMAG_CUT * (1 + abs(complex(c)))
-                   for c in vals):
-                continue
-            mr = MotionParams(*[complex(c).real for c in vals])
-            if any(max(abs(a - b) for a, b in zip(mr.coords(),
-                                                  s.params.coords()))
-                   <= POSE_MERGE * scale for s in sols):
-                continue
-            lens = _leg_lengths(mr, legs)
-            resid = max(abs(l * l - to_float(leg.r2))
-                        for l, leg in zip(lens, legs))
-            sols.append(DKSolution(
-                mr, max(err, resid / (1 + max(to_float(l.r2) for l in legs))),
-                tuple(lens)))
+    # a planar base; two candidates of one pose polish to the same point
+    for point in starts:
+        vals = (red.Tn @ np.r_[1, _polish(red, point)]).tolist()
+        err = _scaled_residual(vals)
+        if err > max(tol, COMPLETION_RESIDUAL) or any(
+                abs(complex(c).imag) > IMAG_CUT * (1 + abs(complex(c)))
+                for c in vals):
+            continue
+        scale = 1 + sum(abs(v) ** 2 for v in vals)
+        mr = MotionParams(*[complex(c).real for c in vals])
+        if any(max(abs(a - b) for a, b in zip(mr.coords(),
+                                              s.params.coords()))
+               <= POSE_MERGE * scale for s in sols):
+            continue
+        lens = _leg_lengths(mr, legs)
+        resid = max(abs(l * l - to_float(leg.r2))
+                    for l, leg in zip(lens, legs))
+        sols.append(DKSolution(
+            mr, max(err, resid / (1 + max(to_float(l.r2) for l in legs))),
+            tuple(lens)))
     return sols
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geom import coplanar
 from .polyalg import conj, exactify, is_exact, is_real_scalar, to_float
-from .tol import UNIT_DIRECTION
+from .tol import DEFAULT_TOL, UNIT_DIRECTION
 
 COORD_NAMES = ("n0", "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
@@ -199,7 +199,7 @@ class Pentapod:
 # lift and displacement
 # ---------------------------------------------------------------------------
 
-def lift_study(s: StudyParams, tol: float = 1e-9) -> MotionParams:
+def lift_study(s: StudyParams, tol: float = DEFAULT_TOL) -> MotionParams:
     """Lift Study parameters to the nine motion parameters."""
     e0, e1, e2, e3 = s.e()
     f0, f1, f2, f3 = s.f()
@@ -246,7 +246,7 @@ def translation_vector(s: StudyParams):
     )
 
 
-def displacement(m: MotionParams, a, tol: float = 1e-9):
+def displacement(m: MotionParams, a, tol: float = DEFAULT_TOL):
     """Euclidean image of the platform point with coordinate a.
 
     Requires x0 != 0 (normalizes to the x0 = 1 chart) and membership of the
@@ -301,7 +301,7 @@ def gamma_residuals(m):
     )
 
 
-def on_image_variety(m: MotionParams, tol: float = 1e-9) -> bool:
+def on_image_variety(m: MotionParams, tol: float = DEFAULT_TOL) -> bool:
     res = phi_residuals(m)
     if all(is_exact(r) or isinstance(r, int) for r in res):
         return all(r == 0 for r in res)

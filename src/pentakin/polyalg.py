@@ -3,10 +3,10 @@
 Exact scalars are ``fractions.Fraction`` (rationals) and :class:`GaussRat`
 (Gaussian rationals p + q*i).  All geometric decisions elsewhere in the
 package run on exact scalars; floats enter only through root finding and
-trajectory sampling.  Resultants of two polynomials of one degree are
-closed forms on sympy's dense polynomial arithmetic; the other resultants,
-factorization and real root isolation are delegated to sympy, numeric rank
-to numpy's SVD.
+trajectory sampling.  Resultants of two polynomials of one degree, with
+their subresultant chains, are closed forms on sympy's dense polynomial
+arithmetic; the other resultants, factorization and real root isolation
+are delegated to sympy, numeric rank to numpy's SVD.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 import sympy as sp
 from sympy.polys.densearith import (dmp_add, dmp_exquo, dmp_mul, dmp_neg,
                                     dmp_sub)
-from sympy.polys.densebasic import dmp_zero, dmp_zero_p
+from sympy.polys.densebasic import dmp_strip, dmp_zero, dmp_zero_p
 
-from .tol import FLOAT_ROOT
+from .tol import DEFAULT_TOL, FLOAT_ROOT
 
 
 class PolyalgError(ValueError):
@@ -343,7 +343,7 @@ def mat_nullspace(m):
 # numeric rank
 # ---------------------------------------------------------------------------
 
-def numeric_rank(m, tol: float = 1e-9) -> int:
+def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
     """Rank of a matrix: exact elimination for exact entries (tol ignored),
     SVD thresholding otherwise."""
     if not m or not m[0]:
@@ -377,20 +377,45 @@ def resultant(p, q, var) -> sp.Expr:
 
 
 def poly_resultant(P: sp.Poly, Q: sp.Poly):
-    """The resultant of two sp.Poly in their first generator, equal to
-    ``P.resultant(Q)`` in coefficients, sign, generators and domain.
+    """The subresultant chain (S_0, S_1, ..., S_m) of two sp.Poly in their
+    first generator, m the lower of their degrees.  S_0 is the resultant,
+    equal to ``P.resultant(Q)`` in coefficients, sign, generators and
+    domain; S_j for 0 < j < m is the j-th subresultant up to sign, on the
+    generators of P; S_m is the input of lower degree (Q when the degrees
+    are equal).  The chain is (S_0,) when m < 1.
 
     Two polynomials of one degree n in the first generator, on the same
     generators (at least two) and domain, take a closed form on sympy's
     dense coefficient lists: for n = 2 the Sylvester formula
-    (a0 c1 - a1 c0)^2 - (a0 b1 - a1 b0)(b0 c1 - b1 c0), for n >= 3 the
-    determinant of the n x n Bezout matrix, which is (-1)^(n(n-1)/2) times
-    the resultant.  Everything else goes to sympy's subresultant PRS.
+    (a0 c1 - a1 c0)^2 - (a0 b1 - a1 b0)(b0 c1 - b1 c0) with
+    S_1 = (a0 b1 - a1 b0) x + a0 c1 - a1 c0; for n >= 3 fraction-free
+    (Bareiss) elimination of the n x n Bezout matrix ordered by decreasing
+    powers, whose row n-1-j then holds S_j and whose last pivot is
+    (-1)^(n(n-1)/2) times the resultant.  A zero pivot and everything else
+    go to sympy's subresultant PRS: its member of degree j, S_j or a
+    defective subresultant similar to it, stands as S_j, and a zero
+    polynomial where it lists none.
     """
     n, u, K = P.degree(), len(P.gens) - 2, P.domain
-    if u < 0 or n < 2 or Q.degree() != n or Q.gens != P.gens or Q.domain != K:
-        return P.resultant(Q)
-    f, g = P.rep.to_list(), Q.rep.to_list()
+    if u >= 0 and n >= 2 and Q.degree() == n and Q.gens == P.gens \
+            and Q.domain == K:
+        rows = _bezout_rows(P.rep.to_list(), Q.rep.to_list(), n, u, K)
+        if rows is not None:
+            res, *subs = rows
+            return (P.per(P.rep.new(res, K, u), remove=0),
+                    *(P.per(P.rep.new(s, K, u + 1)) for s in subs), Q)
+    res, prs = P.resultant(Q, includePRS=True)
+    if min(P.degree(), Q.degree()) < 1:
+        return (res,)
+    by_degree, zero = {S.degree(): S for S in prs}, prs[1] * 0
+    return (res, *(by_degree.get(j, zero)
+                   for j in range(1, prs[1].degree() + 1)))
+
+
+def _bezout_rows(f, g, n, u, K):
+    """The resultant and S_1 .. S_{n-1} of the dense polynomials f and g of
+    degree n at level u + 1 over K (coefficient lists, highest degree
+    first), as dense lists; None on a zero Bareiss pivot."""
 
     def cross(i, j):
         """f_i g_j - f_j g_i, indices into the lists, highest degree first."""
@@ -399,42 +424,34 @@ def poly_resultant(P: sp.Poly, Q: sp.Poly):
 
     if n == 2:
         ac = cross(0, 2)
-        res = dmp_sub(dmp_mul(ac, ac, u, K),
-                      dmp_mul(cross(0, 1), cross(1, 2), u, K), u, K)
-    else:
-        # (f(x) g(y) - f(y) g(x)) / (x - y): each pair of degrees i < j adds
-        # f_j g_i - f_i g_j to the entries (i + k, j - 1 - k), k < j - i
-        B = [[dmp_zero(u)] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n + 1), 2):
-            c = cross(n - j, n - i)
-            for a in range(i, j):
-                B[a][i + j - 1 - a] = dmp_add(B[a][i + j - 1 - a], c, u, K)
-        det = _bareiss_det(B, u, K)
-        res = dmp_neg(det, u, K) if n * (n - 1) // 2 % 2 else det
-    return P.per(P.rep.new(res, K, u), remove=0)
-
-
-def _bareiss_det(B, u, K):
-    """Determinant of a square matrix of dense polynomials at level u over
-    K by fraction-free Bareiss elimination: each step divides exactly by
-    the previous pivot; a zero pivot swaps in a lower row, and a zero
-    pivot column makes the determinant zero."""
-    n, sign, prev = len(B), 1, None
+        return (dmp_sub(dmp_mul(ac, ac, u, K),
+                        dmp_mul(cross(0, 1), cross(1, 2), u, K), u, K),
+                dmp_strip([cross(0, 1), ac], u + 1))
+    # (f(x) g(y) - f(y) g(x)) / (x - y): each pair of degrees i < j adds
+    # f_j g_i - f_i g_j to the coefficient of x^a y^(i+j-1-a), i <= a < j,
+    # at entry (n-1-a, a+n-i-j) of the matrix by decreasing powers
+    B = [[dmp_zero(u)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n + 1), 2):
+        c = cross(n - j, n - i)
+        for a in range(i, j):
+            B[n - 1 - a][a + n - i - j] = dmp_add(B[n - 1 - a][a + n - i - j],
+                                                  c, u, K)
+    # Bareiss: each step divides exactly by the previous pivot, and row k
+    # ends as the determinants of rows 0..k on columns 0..k-1 and one more
+    prev = None
     for k in range(n - 1):
-        if dmp_zero_p(B[k][k], u):
-            r = next((r for r in range(k + 1, n)
-                      if not dmp_zero_p(B[r][k], u)), None)
-            if r is None:
-                return dmp_zero(u)
-            B[k], B[r], sign = B[r], B[k], -sign
         p = B[k][k]
+        if dmp_zero_p(p, u):
+            return None
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 e = dmp_sub(dmp_mul(p, B[i][j], u, K),
                             dmp_mul(B[i][k], B[k][j], u, K), u, K)
                 B[i][j] = e if prev is None else dmp_exquo(e, prev, u, K)
         prev = p
-    return B[-1][-1] if sign == 1 else dmp_neg(B[-1][-1], u, K)
+    det = B[-1][-1]
+    return (dmp_neg(det, u, K) if n * (n - 1) // 2 % 2 else det,
+            *(B[k][k:] for k in reversed(range(n - 1))))
 
 
 def real_roots(p, tol: float = FLOAT_ROOT):
@@ -491,8 +508,6 @@ def real_roots(p, tol: float = FLOAT_ROOT):
             out[-1] = (out[-1][0], out[-1][1] + 1)
         else:
             out.append((r, 1))
-    if not out and good:
-        raise PolyalgError("real root isolation failed to converge")
     return out
 
 

@@ -70,8 +70,8 @@ def first_resultants(quads):
     quadratics in that generator take the closed-form Sylvester formula of
     `poly_resultant`."""
     Q1, Q2, Q3 = quads
-    return (poly_resultant(Q2, Q3), poly_resultant(Q1, Q3),
-            poly_resultant(Q1, Q2))
+    return (poly_resultant(Q2, Q3)[0], poly_resultant(Q1, Q3)[0],
+            poly_resultant(Q1, Q2)[0])
 
 
 def first_reduction(rows, skip=None):

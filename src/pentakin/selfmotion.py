@@ -25,9 +25,9 @@ from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
 from .reduced import Reduction, first_reduction, first_resultants
-from .tol import (CELL_MERGE, LEFTOVER_IMAG_CUT, LEFTOVER_RESIDUAL_FLOOR,
-                  LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
-                  SAMPLE_RESIDUAL_SCALE)
+from .tol import (CELL_MERGE, DEFAULT_TOL, LEFTOVER_IMAG_CUT,
+                  LEFTOVER_RESIDUAL_FLOOR, LEFTOVER_RESIDUAL_SCALE,
+                  LEG_VECTOR_ZERO, SAMPLE_RESIDUAL_SCALE)
 
 _I = GaussRat(0, 1)
 
@@ -226,7 +226,7 @@ def _as_gauss(x) -> GaussRat:
 # Duporcq condition on user pentapods
 # ---------------------------------------------------------------------------
 
-def duporcq_check(p: Pentapod, tol: float = 1e-9) -> Duporcq:
+def duporcq_check(p: Pentapod, tol: float = DEFAULT_TOL) -> Duporcq:
     """Geometric levels of the replacement-locus condition for Types 1/2/5:
     FIRST_ONLY when the locus lies on a cylinder of revolution, FULL when
     it is a straight cubic circle (circle + orthogonal line for Type 2).
@@ -389,7 +389,7 @@ class TraceResult:
 
 
 def trace(design: SelfMotionDesign, samples: int = 200,
-          tol: float = 1e-9) -> TraceResult:
+          tol: float = DEFAULT_TOL) -> TraceResult:
     """Sample the configuration curve of a valid design.
 
     The five linear constraints are solved exactly, the three image-variety

@@ -1,27 +1,39 @@
 """Float thresholds, each with its origin.
 
-Exact stages take no tolerance; these apply where floats enter.  In direct
-kinematics: the np.roots candidates of back-substitution, the Newton polish
-and the cut between real and complex poses; there a residual is the
-largest quadric residual of a configuration x divided by 1 + |x|^2, so
-every threshold is relative to the scale of the point.  In self-motion
-tracing: the per-sample completions of the configuration curve and the
-circular-translation direction.  In the bond solve: the numeric roots of
-bonds outside QQ(i).  In the geometric predicates and root isolation:
-float inputs only.  EPS is float64's machine epsilon, 2.2e-16.
+Exact stages take no tolerance; these apply where floats enter.  First
+the default `tol` of the public functions and of the CLI.  In direct
+kinematics: the rank of the quadrics' coefficient rows at a root in
+back-substitution, the Newton polish and the cut between real and complex
+poses; there a residual is the largest quadric residual of a
+configuration x divided by 1 + |x|^2, so every threshold is relative to
+the scale of the point.  In self-motion tracing: the per-sample
+completions of the configuration curve and the circular-translation
+direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
+In the geometric predicates and root isolation: float inputs only.  EPS
+is float64's machine epsilon, 2.2e-16.
 """
+
+#: The default `tol` of the public functions that take one and of the
+#: CLI's --tol: a relative residual, distance or singular-value cut of
+#: about 5e6 EPS, so that a float answer of order one that passes is right
+#: to about nine significant digits.  A stage with a floor of its own (as
+#: COMPLETION_RESIDUAL below) takes the larger of the two.
+DEFAULT_TOL = 1e-9
 
 #: Float Newton stops once the scaled residual is at float64 round-off
 #: (EPS / 2 = 1.1e-16): a further step cannot lower it.
 NEWTON_STOP = 1e-16
 
-#: np.roots finds a root of multiplicity m only to about EPS**(1/m), which
-#: is 6e-6 for m = 3, and a raw candidate's residual is of that order.  The
-#: gate leaves a margin of about 15 over that: a raw candidate above it is
-#: no completion, and Newton does not polish it.
-PRE_NEWTON_GATE = 1e-4
+#: DK back-substitution: a start point of the polish carries the error of
+#: its second coordinate, a root of a subresultant that np.roots finds only
+#: to about EPS**(1/m) at multiplicity m, 6e-6 for m = 3; the quadrics see
+#: that error to first order.  With a margin of about 15 over it, the
+#: quadrics' coefficient rows in the first coordinate have rank one when
+#: their second singular value is at most this relative to the first, and
+#: a start whose scaled residual is above it misses the quadrics.
+START_CUT = 1e-4
 
-#: A completion is kept when its scaled residual after Newton is at most
+#: A completion is kept when its scaled residual after the polish is at most
 #: this (or the caller's tol, if larger).  It is about sqrt(EPS) = 1.5e-8,
 #: the accuracy left at a double root of the eliminant.
 COMPLETION_RESIDUAL = 1e-8

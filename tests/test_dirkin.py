@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rand_frac, random_member
-from helpers import (ar_planar_pentapod, cylinder_only_pentapod,
-                     finite_vertex_pentapod, ideal_vertex_pentapod,
-                     type5_parallel_lines_pentapod)
+from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
+                     cylinder_only_pentapod, finite_vertex_pentapod,
+                     ideal_vertex_pentapod, type5_parallel_lines_pentapod)
 from pentakin.bonds import DependentConstraintsError
 from pentakin.dirkin import DirkinError, max_real_solutions, solve_dk
 from pentakin.kinmap import (Leg, MotionParams, Pentapod, StudyParams,
@@ -159,6 +159,38 @@ class TestSolveDK:
         pose = pose_params((F(23, 49), F(36, 49), F(-24, 49)), (3, -1, -2))
         out = solve_dk(p, lengths2=forward_lengths2(p, pose))
         assert out.degree == 6
+        assert recovers(out, pose.coords())
+
+    def test_close_pair_of_roots(self):
+        # the pose's x3 = -32/33 lies 1.1e-3 from the eliminant's other real
+        # root; the subresultant's coefficients evaluated in floats there
+        # put x2 off by 2e-2, and Newton then polished onto the other pose
+        p = Pentapod(tuple(Leg(a, b) for a, b in (
+            (F(3, 2), (5, -2, 2)), (2, (1, 0, 2)),
+            (F(-5, 2), (-1, -2, F(-5, 4))), (F(4, 3), (-1, 1, 0)),
+            (-4, (F(3, 2), 1, -6)))))
+        lengths2 = [F(5677, 198), F(387, 44), F(3785, 528), F(26681, 1188),
+                    F(197, 6)]
+        out = solve_dk(p, lengths2=lengths2)
+        assert out.degree == 8 and len(out.solutions) == 2
+        assert recovers(out, (F(349, 288), 1, F(1, 33), F(-8, 33),
+                              F(-32, 33), F(274, 99), F(-2, 3), F(1, 2), -3))
+
+    @pytest.mark.parametrize("design", [
+        ar_planar_pentapod, congruent_projection_pentapod,
+        ideal_vertex_pentapod, finite_vertex_pentapod])
+    def test_base_plane_pose(self, design):
+        # c is on the base plane, so the pose and its mirror image share
+        # the eliminated y3 = 0 and differ in x3.  On the two vertex designs
+        # x3 is the second free coordinate, and the root takes the chain's
+        # quadratic S_2 from the third pair; on the others it is the first,
+        # and the quadrics' rows in it have rank one.  Exact coordinates
+        # (x0 = 1 as a Fraction) give exact lengths
+        p = design()
+        pose = MotionParams(*(F(v) for v in pose_params(
+            (F(-1, 3), F(-2, 3), F(-2, 3)), (F(-4, 3), -1, 0)).coords()))
+        out = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        assert len(out.solutions) == 4
         assert recovers(out, pose.coords())
 
     @pytest.mark.parametrize("draw", [1, 2])

@@ -124,16 +124,36 @@ class TestPolyResultant:
     @settings(max_examples=80, deadline=None)
     def test_equals_subresultant_prs(self, pair):
         P, Q = pair
-        assert _same_resultant(poly_resultant(P, Q), P.resultant(Q))
+        assert _same_resultant(poly_resultant(P, Q)[0], P.resultant(Q))
+
+    @given(_poly_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_chain_members_are_subresultants(self, pair):
+        # S_j is +-sympy's subresultant PRS member of degree j wherever it
+        # lists one; for equal degrees the member of top degree is Q
+        P, Q = pair
+        chain = poly_resultant(P, Q)
+        m = min(P.degree(), Q.degree())
+        assert len(chain) == max(m, 0) + 1
+        if m < 1:
+            return
+        listed = {S.degree(): S for S in P.subresultants(Q)}
+        assert chain[-1] == (P if P.degree() < Q.degree() else Q)
+        for j, S in enumerate(chain[1:], 1):
+            assert S.gens == P.gens
+            if j in listed:
+                assert S in (listed[j], -listed[j])
 
     @pytest.mark.parametrize("P, Q", [
         # non-constant leading coefficients
         (x ** 2 * b + c * x - 1, (b + c) * x ** 2 + 3 * x + c),
         (x ** 5 * b - x ** 2 + 2, 3 * x ** 5 + c * x - 2 * x ** 2 + 4),
-        # f1 g0 = f0 g1 zeroes the first Bareiss pivot: a row swap
+        # f1 g0 = f0 g1: a zero Bareiss pivot by increasing powers, none by
+        # the decreasing powers in use
         (x ** 3 + c * x ** 2 + x + 1, b * x ** 3 + 2 * x + 2),
-        # a common factor: the resultant vanishes; with the factor x the
-        # first pivot column of the Bezout matrix is zero
+        # a common factor: the resultant vanishes; (x - b) zeroes the first
+        # pivot too, and with the factor x the last column of the Bezout
+        # matrix is zero
         ((x - b) * (x ** 3 + c), (x - b) * (x ** 3 - x * c + 1)),
         (x ** 3 * b + x ** 2 + c * x, x ** 3 + b * x ** 2 + x),
         # unequal degrees and constants go to the PRS
@@ -142,13 +162,30 @@ class TestPolyResultant:
     ])
     def test_fixed_cases(self, P, Q):
         P, Q = sp.Poly(P, x, b, c), sp.Poly(Q, x, b, c)
-        assert _same_resultant(poly_resultant(P, Q), P.resultant(Q))
+        assert _same_resultant(poly_resultant(P, Q)[0], P.resultant(Q))
+
+    def test_zero_pivot_takes_the_prs(self, monkeypatch):
+        # f3 g2 = f2 g3 zeroes the first Bareiss pivot: the PRS answers
+        P = sp.Poly(x ** 3 + x ** 2 + c * x + 1, x, b, c)
+        Q = sp.Poly(x ** 3 + x ** 2 + b, x, b, c)
+        want = P.resultant(Q)
+        calls = []
+        prs = sp.Poly.resultant
+        monkeypatch.setattr(sp.Poly, "resultant",
+                            lambda *a, **k: calls.append(1) or prs(*a, **k))
+        chain = poly_resultant(P, Q)
+        assert calls and _same_resultant(chain[0], want)
+        # the PRS lists P, Q, -c x + b - 1 and the resultant: S_2 is
+        # defective, so no member stands for it
+        S1 = P.subresultants(Q)[2]
+        assert S1.degree() == 1
+        assert chain[1] == S1 and chain[2].is_zero and chain[3] == Q
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bezout_sign(self, n):
         # Res(x^n - 1, x^n - 2) = (-1)^n; det(Bezout) = (-1)^(n(n-1)/2) Res
         P, Q = sp.Poly(x ** n - 1, x, b), sp.Poly(x ** n - 2, x, b)
-        assert poly_resultant(P, Q).as_expr() == (-1) ** n
+        assert poly_resultant(P, Q)[0].as_expr() == (-1) ** n
 
 
 class TestRealRoots:

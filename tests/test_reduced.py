@@ -247,10 +247,12 @@ def test_no_factorisation(monkeypatch, rng, type1_reference_pentapod):
 def test_no_prs_on_equal_degrees(monkeypatch, rng):
     """On a criterion-05 member every resultant DK takes is of two
     polynomials of equal degree, so poly_resultant's closed forms take all
-    of them: DK gives the same answer with sympy's PRS patched to raise."""
+    of them, subresultant chains included: DK gives the same answer with
+    sympy's PRS and subresultants patched to raise."""
     answers = _dk_and_trace_answers(rng, ())
     with monkeypatch.context() as mp:
         mp.setattr(sp.Poly, "resultant", _forbidden)
+        mp.setattr(sp.Poly, "subresultants", _forbidden)
         guarded = answers()
     assert guarded == answers()
     assert guarded[0][3].degree() == 8
