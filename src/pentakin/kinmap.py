@@ -92,7 +92,8 @@ class MotionParams:
     def normalized(self) -> "MotionParams":
         if not self.x0:
             raise BoundaryPointError("x0 = 0: boundary point has no x0=1 chart")
-        return self.scaled(1 / self.x0)
+        # an exact x0 keeps the chart exact: 1 / 1 would be the float 1.0
+        return self.scaled((Fraction(1) if is_exact(self.x0) else 1) / self.x0)
 
     def conjugate(self) -> "MotionParams":
         return MotionParams(*(conj(c) for c in self.coords()))

@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -24,7 +25,7 @@ from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
 from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
-from .reduced import Reduction, first_reduction, first_resultants
+from .reduced import Reduction, first_reduction, first_resultants, polarise
 from .tol import (CELL_MERGE, DEFAULT_TOL, LEFTOVER_IMAG_CUT,
                   LEFTOVER_RESIDUAL_FLOOR, LEFTOVER_RESIDUAL_SCALE,
                   LEG_VECTOR_ZERO, SAMPLE_RESIDUAL_SCALE)
@@ -115,6 +116,57 @@ class SelfMotionDesign:
                        self.a5 * A5, self.a5 * B5, self.a5 * C5,
                        self.a5, A5, B5, C5))
         return [lam1, om2, om3, ang4, lam5]
+
+    # The exact stage of tracing and leg generation, computed once per
+    # design instance; `reality`, `trace` and `real_legs_from_design` share
+    # it.  A stage that raises stores nothing.
+
+    @cached_property
+    def reduction(self) -> Reduction:
+        """The reduced system of the design.  Types 1/2 take the preferred
+        pivots, which leave the platform direction x1, x2, x3 free; Type 5
+        solves for x3, which its angle condition pins, and keeps x1, x2 and
+        one y free.  The conjugate Darboux pair enters as its real and
+        imaginary parts, which span the same rows: T, the unique echelon
+        basis of their null space, is then computed over the rationals."""
+        rows = [[exactify(c) for c in hp.coeffs] for hp in self.constraints()]
+        rows[1:3] = [[c.re if isinstance(c, GaussRat) else c for c in rows[1]],
+                     [c.im if isinstance(c, GaussRat) else Fraction(0)
+                      for c in rows[1]]]
+        if self.type in (1, 2):
+            return first_reduction(rows)
+        return Reduction(rows, (0, 4, 6, 7, 8) if self.m5[2] != 0
+                         else (0, 4, 5, 6, 7))
+
+    @cached_property
+    def _branch_curve(self):
+        """Types 1/2: the two-branch curve g(x2, x3) = c2 x2^2 + c1 x2 + c0,
+        the gcd of the first resultants of the reduced quadrics.  Returns
+        the float coefficient arrays in x3 of (c2, c1, c0, disc), disc the
+        branch discriminant, with the intervals where disc >= 0 and its
+        isolated real roots."""
+        xi1, xi2, xi3 = first_resultants(self.reduction.quadrics(_S))
+        g = xi1.gcd(xi2).gcd(xi3)
+        if g.degree() != 2:
+            raise NotASelfMotionError(
+                "the reduced system does not contain the two-branch curve")
+        c2, c1, c0 = _coeffs_in_first(g)
+        disc = c1 * c1 - 4 * c2 * c0
+        coeffs = tuple(_float_coeffs(p) for p in (c2, c1, c0, disc))
+        for c in coeffs:
+            c.flags.writeable = False   # shared by every later trace
+        intervals, rts = _real_intervals(disc, coeffs[3])
+        return coeffs, tuple(intervals), tuple(rts)
+
+    @cached_property
+    def _leftover_quadric(self):
+        """Type 5: the index k of the first reduced quadric that involves
+        the leftover coordinate s3 (tried as Q2, Q3, Q1), with its s3^2
+        coefficient as a complex number; None when none does."""
+        quads = polarise(self.reduction.T, phi_residuals, range(4))
+        k = next((k for k in (1, 2, 0)
+                  if any(c for mono, c in quads[k].items() if mono[3])), None)
+        return None if k is None else (k, complex(quads[k][(0, 0, 0, 2)]))
 
 
 def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
@@ -392,10 +444,12 @@ def trace(design: SelfMotionDesign, samples: int = 200,
           tol: float = DEFAULT_TOL) -> TraceResult:
     """Sample the configuration curve of a valid design.
 
-    The five linear constraints are solved exactly, the three image-variety
-    quadrics are reduced to the remaining coordinates, and both branches are
-    evaluated over the real parameter interval(s).  Returns an empty sample
-    list flagged complex when no real branch exists.
+    The design's exact stage (its `reduction` of the five linear
+    constraints, and the branch curve or the leftover quadric read off the
+    reduced quadrics) runs once per design instance; every call then
+    evaluates both branches over the real parameter interval(s) in NumPy.
+    Returns an empty sample list flagged complex when no real branch
+    exists.
     """
     res = remaining_relation_residual(design)
     if res != 0:
@@ -409,51 +463,32 @@ def trace(design: SelfMotionDesign, samples: int = 200,
 _S = sp.symbols("s1 s2 s3")
 
 
-def _design_reduction(design):
-    """The reduced system of a design.  Types 1/2 take the preferred pivots,
-    which leave the platform direction x1, x2, x3 free; Type 5 solves for
-    x3, which its angle condition pins, and keeps x1, x2 and one y free."""
-    rows = [[exactify(c) for c in hp.coeffs] for hp in design.constraints()]
-    if design.type in (1, 2):
-        return first_reduction(rows)
-    return Reduction(rows, (0, 4, 6, 7, 8) if design.m5[2] != 0
-                     else (0, 4, 5, 6, 7))
-
-
 def _float_coeffs(p: sp.Poly):
     return np.array([complex(c).real for c in p.all_coeffs()])
 
 
 def _trace_type12(design, samples, tol):
-    red = _design_reduction(design)
     # s1, s2, s3 = x1, x2, x3; parameter t = x3, branches in x2
-    xi1, xi2, xi3 = first_resultants(red.quadrics(_S))
-    g = xi1.gcd(xi2).gcd(xi3)
-    if g.degree() != 2:
-        raise NotASelfMotionError(
-            "the reduced system does not contain the two-branch curve")
-    c2, c1, c0 = _coeffs_in_first(g)
-    disc = c1 * c1 - 4 * c2 * c0
-    intervals, rts = _real_intervals(disc)
+    coeffs, intervals, rts = design._branch_curve
     if not intervals:
         return TraceResult((), False, (), "x3")
     t = np.concatenate([np.linspace(lo, hi, max(2, samples))
                         for lo, hi in intervals])
-    c2v, c1v, c0v, dv = (np.polyval(_float_coeffs(p), t)
-                         for p in (c2, c1, c0, disc))
+    c2v, c1v, c0v, dv = (np.polyval(c, t) for c in coeffs)
     # at an isolated root the discriminant is zero, not its rounding residue
     dv[np.isin(t, rts)] = 0.0
     keep = (dv >= 0) & (c2v != 0)
     root = np.sqrt(np.maximum(dv, 0.0))
     den = np.where(keep, 2 * c2v, 1.0)
-    branches = [(branch, _complete_samples(red, (-c1v + sign * root) / den,
-                                           t, tol))
-                for sign, branch in ((1.0, "upper"), (-1.0, "lower"))]
-    out = [MotionCurveSample(float(t[i]), MotionParams(*m[:, i].tolist()),
-                             branch)
+    branches = []
+    for sign, branch in ((1.0, "upper"), (-1.0, "lower")):
+        m, ok = _complete_samples(design.reduction,
+                                  (-c1v + sign * root) / den, t, tol)
+        branches.append((branch, m.T.tolist(), ok))
+    out = [MotionCurveSample(float(t[i]), MotionParams(*m[i]), branch)
            for i in np.flatnonzero(keep)
-           for branch, (m, ok) in branches if ok[i]]
-    return TraceResult(tuple(out), bool(out), tuple(intervals), "x3")
+           for branch, m, ok in branches if ok[i]]
+    return TraceResult(tuple(out), bool(out), intervals, "x3")
 
 
 def _coeffs_in_first(p: sp.Poly):
@@ -483,16 +518,16 @@ def _complete_samples(red, x2, x3, tol):
     return np.where(minus, cands[1], cands[0]), ok[0] | ok[1]
 
 
-def _real_intervals(disc: sp.Poly):
+def _real_intervals(disc: sp.Poly, coeffs):
     """Intervals where the branch discriminant is nonnegative, and its
-    isolated real roots.  A constant discriminant gives [-1, 1] when
-    nonnegative; it is identically zero when the two branches coincide."""
+    isolated real roots; `coeffs` are its float coefficients.  A constant
+    discriminant gives [-1, 1] when nonnegative; it is identically zero
+    when the two branches coincide."""
     from .polyalg import real_roots
     if disc.degree() <= 0:
         return ([(-1.0, 1.0)] if disc.LC() >= 0 else []), []
     rts = sorted(r for r, _ in real_roots(disc))
     bounds = [rts[0] - 1.0] + rts + [rts[-1] + 1.0] if rts else [-1.0, 1.0]
-    coeffs = _float_coeffs(disc)
     return _merge_cells([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
                          if np.polyval(coeffs, 0.5 * (lo + hi)) >= 0]), rts
 
@@ -511,7 +546,6 @@ def _merge_cells(cells):
 
 
 def _trace_type5(design, samples, tol):
-    red = _design_reduction(design)
     # free coordinates: x1, x2 and one leftover y; the platform direction
     # circle is x1^2 + x2^2 = 1 - w^2
     w = to_float(design.w)
@@ -521,41 +555,59 @@ def _trace_type5(design, samples, tol):
     lim = math.sqrt(rad2)
     t = np.linspace(-lim, lim, max(2, samples))
     x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
-    tagged = [(tagx, _solve_leftover(red, t, sx, tol))
-              for sx, tagx in ((x2abs, "a"), (-x2abs, "b"))]
+    n = len(t)
+    leftover = design._leftover_quadric
+    # both signs of x2 in one batch: the "a" samples, then the "b" ones
+    sols = (_solve_leftover(design.reduction, *leftover,
+                            np.concatenate([t, t]),
+                            np.concatenate([x2abs, -x2abs]), tol)
+            if leftover else [[]] * (2 * n))
     out = [MotionCurveSample(float(t[i]), m, f"{tagx}{k}")
-           for i in range(len(t)) for tagx, sols in tagged
-           for k, m in enumerate(sols[i])]
+           for i in range(n) for tagx, j in (("a", i), ("b", n + i))
+           for k, m in enumerate(sols[j])]
     return TraceResult(tuple(out), bool(out), ((-lim, lim),), "x1")
 
 
-def _solve_leftover(red, x1, x2, tol):
+def _solve_leftover(red, k, a, x1, x2, tol):
     """Per sample (x1, x2), the configurations over the leftover free
-    coordinate s3.  On the line P + s3 D of coordinates, the first quadric
-    q that involves s3 (tried as Q2, Q3, Q1) is the quadratic
-    q(P) + s3 grad q(P).D + s3^2 q(D); its real roots are filtered on all
-    three quadrics."""
-    quads = red.quadrics(_S)
-    k = next((k for k in (1, 2, 0) if quads[k].degree(_S[2]) > 0), None)
-    if k is None:
-        return [[] for _ in x1]
+    coordinate s3.  On the line P + s3 D of coordinates, quadric k is the
+    quadratic q(P) + s3 grad q(P).D + s3^2 a, a = q(D); its real roots are
+    filtered on all three quadrics, all samples at once."""
     P = (red.Tn @ np.array([np.ones_like(x1), x1, x2, np.zeros_like(x1)])).real
     D = red.Tn[:, 3].real
-    a = complex(phi_residuals([row[3] for row in red.T])[k])
     b = sum((g * d for g, d in zip(phi_gradient(P)[k], D)), np.zeros_like(x1))
     c = phi_residuals(P)[k]
-    out = []
-    for i in range(len(x1)):
-        sols = []
-        for r in np.roots(np.array([a, b[i], c[i]], dtype=complex)):
-            if abs(r.imag) > LEFTOVER_IMAG_CUT * (1 + abs(r)):
-                continue
-            m = P[:, i] + r.real * D
-            if np.abs(phi_residuals(m)).max() <= max(
-                    tol * LEFTOVER_RESIDUAL_SCALE, LEFTOVER_RESIDUAL_FLOOR):
-                sols.append(MotionParams(*m.tolist()))
-        out.append(sols)
-    return out
+    roots, found = _quadratic_roots(a, b, c)
+    found &= ~(np.abs(roots.imag) > LEFTOVER_IMAG_CUT * (1 + np.abs(roots)))
+    m = P[:, :, None] + roots.real * D[:, None, None]
+    err = np.abs(np.array(phi_residuals(m))).max(axis=0)
+    found &= err <= max(tol * LEFTOVER_RESIDUAL_SCALE, LEFTOVER_RESIDUAL_FLOOR)
+    return [[MotionParams(*v) for v, ok in zip(vs, oks) if ok]
+            for vs, oks in zip(m.transpose(1, 2, 0).tolist(), found.tolist())]
+
+
+def _quadratic_roots(a, b, c):
+    """The roots of a s^2 + b s + c per sample, exactly as `np.roots` gives
+    them: an (N, 2) complex array and the mask of its entries that are
+    roots.  Rows with a != 0 and c != 0 take one stacked `eigvals` of their
+    companion matrices [[-b/a, -c/a], [1, 0]], which is np.roots' own
+    computation; np.roots strips a leading or trailing zero, so it keeps
+    the other rows."""
+    p = np.stack(np.broadcast_arrays(a, b, c), axis=-1).astype(complex)
+    roots = np.zeros((len(p), 2), dtype=complex)
+    found = np.zeros((len(p), 2), dtype=bool)
+    full = (p[:, 0] != 0) & (p[:, 2] != 0)
+    q = p[full]
+    comp = np.zeros((len(q), 2, 2), dtype=complex)
+    comp[:, 0] = -q[:, 1:] / q[:, :1]
+    comp[:, 1, 0] = 1
+    roots[full] = np.linalg.eigvals(comp)
+    found[full] = True
+    for i in np.flatnonzero(~full):
+        r = np.roots(p[i])
+        roots[i, :len(r)] = r
+        found[i, :len(r)] = True
+    return roots, found
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +622,15 @@ class LegGenerationError:
 
 def real_legs_from_design(design: SelfMotionDesign, a_values):
     """Sphere legs compatible with the same self-motion: for each platform
-    coordinate the new sphere condition is matched as an exact linear
-    combination of the five canonical constraints, yielding the base point
-    and the squared leg length.  Exceptional coordinates produce per-value
-    error entries."""
-    cons = design.constraints()
-    rows = [hp.coeffs for hp in cons]
+    coordinate the new sphere condition is matched against the design's
+    reduced system (see `_match_sphere`), yielding the base point and the
+    squared leg length.  Exceptional coordinates produce per-value error
+    entries."""
+    red = design.reduction
     out = []
     for a_in in a_values:
         a = exactify(a_in)
-        res = _match_sphere(rows, a)
+        res = _match_sphere(red, a)
         if res is None:
             out.append(LegGenerationError(a, "exceptional platform point: no "
                                              "unique compatible base point"))
@@ -598,53 +649,37 @@ def real_legs_from_design(design: SelfMotionDesign, a_values):
     return out
 
 
-def _match_sphere(rows, a, pick=None):
-    """Solve for (mu1..mu5, A, B, C) from the eight linear coefficient
-    equations, then recover the squared length from the x0 coefficient.
+def _match_sphere(red: Reduction, a, pick=None):
+    """The sphere leg at the exact platform coordinate a compatible with the
+    reduced system `red`, as ((A, B, C), r2).
 
-    A unique solution gives the compatible base point; at exceptional
-    platform points the solutions form a family and None is returned unless
-    `pick` selects the family member particular + pick * basis_vector."""
-    zero = GaussRat(0)
-    one = GaussRat(1)
-    cols = []
-    for k in range(5):
-        cols.append([_as_gauss(rows[k][j]) for j in range(9)])
-    # unknown order: mu1..mu5, A, B, C
-    eq_rows = []
-    rhs = []
-    # coefficient indices and their targets:
-    targets = {
-        0: (zero, None, GaussRat(4)),      # n0: sum mu c0 = 4
-        2: (GaussRat(a), 5, zero),         # x1: sum = a*A  -> sum - a*A = 0
-        3: (GaussRat(a), 6, zero),         # x2: a*B
-        4: (GaussRat(a), 7, zero),         # x3: a*C
-        5: (zero, None, GaussRat(a)),      # y0: sum = a
-        6: (one, 5, zero),                 # y1: sum = A
-        7: (one, 6, zero),                 # y2: B
-        8: (one, 7, zero),                 # y3: C
-    }
-    for j, (fac, unk_col, const) in targets.items():
-        row = [cols[k][j] for k in range(5)] + [zero, zero, zero]
-        if unk_col is not None:
-            row[unk_col] = -fac
-        eq_rows.append(row)
-        rhs.append(const)
-    sol = mat_solve_general(eq_rows, rhs)
+    Its hyperplane h = (4, h1, aA, aB, aC, a, A, B, C) lies in the span of
+    the five rows iff h . T[:, j] = 0 for every column j of T.  T's x0 row
+    is (1, 0, 0, 0), so the unknown h1 = (a^2 + A^2 + B^2 + C^2 - r2) / 2
+    drops out of the columns j = 1, 2, 3: one 3x3 exact solve in
+    (A, B, C).  Column 0 then gives h1, hence r2.  A unique solution gives
+    the compatible base point; at exceptional platform points the
+    solutions form a family and None is returned unless `pick` selects the
+    family member particular + pick * basis_vector."""
+    T = red.T
+    # h . T[:, j] less its x0 term: the coefficients of A, B, C, a constant
+    cols = [([a * T[2 + i][j] + T[6 + i][j] for i in range(3)],
+             4 * T[0][j] + a * T[5][j]) for j in range(4)]
+    sol = mat_solve_general([c for c, _ in cols[1:]],
+                            [-k for _, k in cols[1:]])
     if sol is None:
         return None
     if sol[1]:
         if pick is None or len(sol[1]) != 1:
             return None
-        vec = [p_ + _as_gauss(pick) * b for p_, b in zip(sol[0], sol[1][0])]
+        pick = exactify(pick)
+        sol = [p_ + pick * b for p_, b in zip(sol[0], sol[1][0])]
     else:
-        vec = sol[0]
-    mus = vec[:5]
-    A, B, C = vec[5], vec[6], vec[7]
-    x0sum = sum(m * cols[k][1] for k, m in enumerate(mus))
-    # x0 coefficient: sum mu c1 = (a^2 + |M|^2 - r2) / 2
-    r2 = GaussRat(a) * GaussRat(a) + A * A + B * B + C * C - 2 * x0sum
-    return (A, B, C), r2
+        sol = sol[0]
+    coef, const = cols[0]
+    h1 = -(sum(c * x for c, x in zip(coef, sol)) + const)
+    A, B, C = sol
+    return (A, B, C), a * a + A * A + B * B + C * C - 2 * h1
 
 
 def canonical_pentapod(design: SelfMotionDesign, a_values) -> Pentapod:

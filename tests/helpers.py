@@ -129,14 +129,17 @@ def legs_from_constraints(constraints, a_values):
     An entry (a, s) requests the family member s at an exceptional platform
     coordinate whose compatible base points form a line.
     """
+    from pentakin.polyalg import exactify
+    from pentakin.reduced import first_reduction
     from pentakin.selfmotion import _match_sphere
-    rows = [hp.coeffs for hp in constraints]
+    red = first_reduction([[exactify(c) for c in hp.coeffs]
+                           for hp in constraints])
     legs = []
     for a in a_values:
         pick = None
         if isinstance(a, tuple):
             a, pick = a
-        res = _match_sphere(rows, F(a), pick=pick)
+        res = _match_sphere(red, F(a), pick=pick)
         assert res is not None, f"exceptional value {a}"
         (A, B, C), r2 = res
         vals = []

@@ -161,6 +161,19 @@ class TestSolveDK:
         assert out.degree == 6
         assert recovers(out, pose.coords())
 
+    def test_parallel_lines_pose_float_lengths(self):
+        # the same pose with float-rounded lengths: the rounding splits the
+        # double root y1 = -3 into two roots 6e-15 apart, and the first
+        # pair's chain meets the quadrics at neither; the next members of
+        # the chains give the pose
+        p = type5_parallel_lines_pentapod()
+        pose = pose_params((F(23, 49), F(36, 49), F(-24, 49)), (3, -1, -2))
+        lengths2 = forward_lengths2(p, pose.scaled(1.0))
+        assert all(isinstance(v, float) for v in lengths2)
+        out = solve_dk(p, lengths2=lengths2)
+        assert out.degree == 6
+        assert recovers(out, pose.coords())
+
     def test_close_pair_of_roots(self):
         # the pose's x3 = -32/33 lies 1.1e-3 from the eliminant's other real
         # root; the subresultant's coefficients evaluated in floats there
@@ -206,6 +219,20 @@ class TestSolveDK:
                 random_study(rng)
         pose = pose_params((0, 1, 0), (F(1, 2), F(-2, 3), F(5, 4)))
         out = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        assert out.degree == 8
+        assert recovers(out, pose.coords())
+
+    @pytest.mark.parametrize("draw", [1, 2])
+    @pytest.mark.parametrize("interleaved", [True, False],
+                             ids=["criterion-05", "consecutive"])
+    def test_axis_aligned_pose_float_lengths(self, rng, draw, interleaved):
+        # the same poses with float-rounded lengths
+        for _ in range(draw + 1):
+            p = random_member(rng)
+            if interleaved:
+                random_study(rng)
+        pose = pose_params((0, 1, 0), (F(1, 2), F(-2, 3), F(5, 4)))
+        out = solve_dk(p, lengths2=forward_lengths2(p, pose.scaled(1.0)))
         assert out.degree == 8
         assert recovers(out, pose.coords())
 

@@ -10,10 +10,13 @@ from helpers import (ar_planar_pentapod, cylinder_only_pentapod,
                      type4_pentapod, type5_parallel_lines_pentapod)
 from pentakin.archsing import WrongBranchError
 from pentakin.geom import ProjPoint
-from pentakin.kinmap import Leg, Pentapod
+from pentakin.kinmap import Leg, Pentapod, sphere_condition
+from pentakin.polyalg import exactify, mat_rank
 from pentakin.rearrange import (A_SYM, ArchSingularInputError,
                                 ExceptionalImage, classify_type, cubic_kind,
                                 planar_vertex, replacement_cubic, sigma)
+from pentakin.reduced import first_reduction
+from pentakin.selfmotion import _match_sphere
 
 
 class TestReplacementCubic:
@@ -260,6 +263,50 @@ class TestClassifyType:
                 except Exception:
                     continue
             assert classify_type(p).kind == "type1"
+
+    def test_small_pool_draw_can_be_type2(self):
+        # the generic member of perfbench classify-survey's round 15, drawn
+        # from the round alone (so on every seed), is no generic member:
+        # the platform point a = -1/4 of its first leg is exceptional
+        M1 = (F(-1), F(3), F(4, 3))
+        legs = ((F(-1, 4), M1), (F(2, 3), (F(1), F(0), F(3, 4))),
+                (F(1, 3), (F(-1), F(2), F(-1, 2))),
+                (F(1), (F(-1, 2), F(-4), F(1, 2))),
+                (F(-5, 4), (F(-1), F(-2), F(0))))
+        cls = classify_type(Pentapod(tuple(Leg(a, M) for a, M in legs)))
+        assert cls.kind == "type2"
+        (exc,) = cls.exceptional_points
+        assert exc.a == sp.Rational(-1, 4) and exc.point == M1
+
+        # the oracle, without rearrange: a sphere leg (a, M) is compatible
+        # iff its hyperplane minus the x0 coefficient, which carries the
+        # free length, lies in the span of the five rows so reduced
+        def rank(a, M):
+            rows = [[F(4), b * A, b * B, b * C, b, A, B, C]
+                    for b, (A, B, C) in legs]
+            return mat_rank(rows + [[F(4), a * M[0], a * M[1], a * M[2], a,
+                                     *M]])
+
+        def on_line(Z):
+            return (F(112, 3315) * Z - F(10393, 9945),
+                    F(39203, 13260) * Z - F(9368, 9945), Z)
+
+        a = F(-1, 4)
+        assert on_line(F(4, 3)) == M1
+        assert all(rank(a, on_line(Z)) == 5 for Z in (F(0), F(4, 3), F(7)))
+        assert rank(a, (F(0), F(0), F(0))) == 6
+        assert rank(F(1, 7), (F(-1493, 1389), F(-22, 1389),
+                              F(-793, 2778))) == 5
+        assert rank(F(1, 7), on_line(F(0))) == 6
+
+        # compatible legs from the reduced system agree, with any lengths
+        red = first_reduction([[exactify(c) for c in sphere_condition(
+            Leg(b, M, F(1))).coeffs] for b, M in legs])
+        assert _match_sphere(red, F(1, 7))[0] == (
+            F(-1493, 1389), F(-22, 1389), F(-793, 2778))
+        assert _match_sphere(red, a) is None
+        for Z in (F(0), F(4, 3), F(7)):
+            assert _match_sphere(red, a, pick=Z)[0] == on_line(Z)
 
 
 class TestDarbouxPoints:

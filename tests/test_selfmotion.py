@@ -1,24 +1,29 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, stretched_fiber_pentapod,
                      type4_pentapod, type5_parallel_lines_pentapod)
 from pentakin.archsing import WrongBranchError
-from pentakin.kinmap import Leg, Pentapod, displacement, phi_residuals
-from pentakin.polyalg import GaussRat, exactify, to_float
+from pentakin.kinmap import (Leg, Pentapod, displacement, phi_residuals,
+                             sphere_condition)
+from pentakin.polyalg import GaussRat, exactify, mat_rank, to_float
+from pentakin.reduced import Reduction
 from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  LegGenerationError, NotASelfMotionError,
                                  Reality, SelfMotionError,
                                  circular_translation_check,
                                  duporcq_check, real_legs_from_design,
-                                 _design_reduction, reality,
+                                 reality,
                                  remaining_relation_residual,
-                                 synth_leg_params, trace)
+                                 synth_leg_params, trace, _quadratic_roots)
 
 _I = GaussRat(0, 1)
 
@@ -61,7 +66,7 @@ class TestSynthesis:
         d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=m5, r1sq=25)
         assert d.r5sq == r5sq
         assert remaining_relation_residual(d) == 0
-        Q1, _, Q3 = _design_reduction(d).quadrics(sp.symbols("s1 s2 s3"))
+        Q1, _, Q3 = d.reduction.quadrics(sp.symbols("s1 s2 s3"))
         assert Q3.is_zero or (Q3 * Q1.LC() - Q1 * Q3.LC()).is_zero
         if m5 == (2, 1, F(1, 2)):
             assert trace(d, samples=15).samples
@@ -386,6 +391,31 @@ class TestRealLegs:
                                sphere_condition(leg).coeffs]]
             assert mat_rank(stacked) == 5
 
+    @given(st.sampled_from((1, 2, 5)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_legs_in_span_property(self, kind, data):
+        # every leg returned from the reduced system is a sixth hyperplane
+        # in the span of the design's five rows
+        fracs = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+        a2 = GaussRat(data.draw(fracs), data.draw(fracs))
+        m5 = (data.draw(fracs), data.draw(fracs),
+              F(0) if kind == 2 else data.draw(fracs))
+        params = dict(a2=a2, m5=m5, r1sq=data.draw(fracs.filter(bool)) ** 2)
+        if kind == 1:
+            params["a4"] = data.draw(fracs)
+        if kind == 5:
+            params["a5"] = data.draw(fracs)
+        try:
+            d = synth_leg_params(kind, **params)
+        except DegenerateDesignError:
+            assume(False)
+        rows = [[exactify(c) for c in hp.coeffs] for hp in d.constraints()]
+        avals = data.draw(st.lists(fracs, min_size=1, max_size=4))
+        for leg in real_legs_from_design(d, avals):
+            if isinstance(leg, Leg):
+                h = [exactify(c) for c in sphere_condition(leg).coeffs]
+                assert mat_rank(rows + [h]) == 5
+
     def test_trajectories_on_curve(self, type1_reference_design):
         # a freshly generated leg keeps its length along the trace
         tr = trace(type1_reference_design, samples=9)
@@ -432,3 +462,95 @@ class TestCircularTranslation:
     def test_nonplanar_rejected(self, type1_reference_pentapod):
         with pytest.raises(WrongBranchError):
             circular_translation_check(type1_reference_pentapod)
+
+
+class TestExactStage:
+
+    @pytest.mark.parametrize("kind", [1, 2, 5])
+    def test_one_reduction_per_design(self, monkeypatch, kind):
+        # reality, trace and leg generation share one exact stage per
+        # design instance; an equal design is another instance
+        built = []
+        init = Reduction.__init__
+
+        def counted(self, rows, pivots):
+            built.append(pivots)
+            init(self, rows, pivots)
+
+        monkeypatch.setattr(Reduction, "__init__", counted)
+        params = {1: dict(a2=GaussRat(0, 1), a4=2, m5=(1, 1, 1), r1sq=3),
+                  2: dict(a2=GaussRat(1, 1), m5=(1, 1, 0), r1sq=4),
+                  5: dict(a2=GaussRat(1, 1), a5=1, m5=(1, 1, F(1, 2)),
+                          r1sq=25)}[kind]
+        d = synth_leg_params(kind, **params)
+        assert reality(d).reality is Reality.REAL
+        assert trace(d, samples=20).samples
+        assert all(isinstance(leg, Leg)
+                   for leg in real_legs_from_design(d, [1, F(1, 2)]))
+        assert trace(d, samples=7).samples
+        assert len(built) == 1
+        twin = synth_leg_params(kind, **params)
+        assert twin == d
+        assert trace(twin, samples=20) == trace(d, samples=20)
+        assert len(built) == 2
+
+    def test_batched_roots_are_np_roots(self):
+        # row by row the batch returns np.roots' roots, in its order and
+        # bit for bit, also where a zero coefficient is stripped
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=40)
+        c = rng.normal(size=40)
+        b[3] = c[5] = b[7] = c[7] = 0.0
+        for a in (complex(rng.normal(), rng.normal()), 2.5, 0.0):
+            roots, found = _quadratic_roots(a, b, c)
+            for i in range(len(b)):
+                want = np.roots(np.array([a, b[i], c[i]], dtype=complex))
+                got = roots[i][found[i]]
+                assert got.tolist() == want.tolist()
+        a = rng.normal(size=40)
+        a[[2, 9]] = 0.0
+        roots, found = _quadratic_roots(a, b, c)
+        for i in range(len(b)):
+            want = np.roots(np.array([a[i], b[i], c[i]], dtype=complex))
+            assert roots[i][found[i]].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("c5", [0, F(1, 2), F(99, 100)])
+    def test_leftover_batch_matches_loop(self, c5):
+        # the batched leftover solve returns what one np.roots and one
+        # residual check per root returned, sample by sample
+        from pentakin.kinmap import MotionParams, phi_gradient
+        from pentakin.tol import (DEFAULT_TOL, LEFTOVER_IMAG_CUT,
+                                  LEFTOVER_RESIDUAL_FLOOR,
+                                  LEFTOVER_RESIDUAL_SCALE)
+        d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=(1, 1, c5),
+                             r1sq=25)
+        k, a = d._leftover_quadric
+        red = d.reduction
+        rad2 = 1.0 - to_float(d.w) ** 2
+        t = np.linspace(-math.sqrt(rad2), math.sqrt(rad2), 30)
+        x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
+        tagged = []
+        for tag, x2 in (("a", x2abs), ("b", -x2abs)):
+            P = (red.Tn @ np.array([np.ones_like(t), t, x2,
+                                    np.zeros_like(t)])).real
+            D = red.Tn[:, 3].real
+            b = sum((g * e for g, e in zip(phi_gradient(P)[k], D)),
+                    np.zeros_like(t))
+            c = phi_residuals(P)[k]
+            per_sample = []
+            for i in range(len(t)):
+                sols = []
+                for r in np.roots(np.array([a, b[i], c[i]], dtype=complex)):
+                    if abs(r.imag) > LEFTOVER_IMAG_CUT * (1 + abs(r)):
+                        continue
+                    m = P[:, i] + r.real * D
+                    if np.abs(phi_residuals(m)).max() <= max(
+                            DEFAULT_TOL * LEFTOVER_RESIDUAL_SCALE,
+                            LEFTOVER_RESIDUAL_FLOOR):
+                        sols.append(MotionParams(*m.tolist()))
+                per_sample.append(sols)
+            tagged.append((tag, per_sample))
+        want = [(float(t[i]), m, f"{tag}{j}") for i in range(len(t))
+                for tag, sols in tagged for j, m in enumerate(sols[i])]
+        got = [(s.t, s.params, s.branch) for s in trace(d, samples=30)]
+        assert want and got == want
