@@ -384,7 +384,7 @@ def is_bond(constraints, m: MotionParams, tol: float = DEFAULT_TOL) -> bool:
     if m.x0:
         return False
     vals = list(gamma_residuals(m)) + [hp.evaluate(m) for hp in constraints]
-    if all(is_exact(v) or isinstance(v, int) for v in vals):
+    if all(is_exact(v) for v in vals):
         return all(v == 0 for v in vals)
     scale = 1 + sum(abs(complex(c)) ** 2 for c in m.coords())
     return all(abs(complex(v)) <= tol * scale for v in vals)

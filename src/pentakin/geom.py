@@ -109,7 +109,7 @@ def _as_proj_pair(t):
     """Line parameter -> homogeneous pair (num, den); INF -> (1, 0)."""
     if t is INF:
         return (Fraction(1), Fraction(0))
-    if is_exact(t) or isinstance(t, int):
+    if is_exact(t):
         t = exactify(t)
         return (t, Fraction(1))
     return (t, 1.0)
@@ -175,7 +175,7 @@ def _gauss(t):
     """Coerce a parameter to a GaussRat/complex scalar (INF passes through)."""
     if t is INF:
         return INF
-    if is_exact(t) or isinstance(t, int):
+    if is_exact(t):
         e = exactify(t)
         return GaussRat(e) if isinstance(e, Fraction) else e
     if isinstance(t, complex):

@@ -208,7 +208,7 @@ def lift_study(s: StudyParams, tol: float = DEFAULT_TOL) -> MotionParams:
     if not en:
         raise KinmapError("zero rotation part: no displacement")
     res = s.quadric_residual()
-    if is_exact(res) or isinstance(res, int):
+    if is_exact(res):
         if res != 0:
             raise KinmapError("Study quadric violated")
     elif abs(to_float(res)) > tol * (1 + abs(to_float(en))):
@@ -304,7 +304,7 @@ def gamma_residuals(m):
 
 def on_image_variety(m: MotionParams, tol: float = DEFAULT_TOL) -> bool:
     res = phi_residuals(m)
-    if all(is_exact(r) or isinstance(r, int) for r in res):
+    if all(is_exact(r) for r in res):
         return all(r == 0 for r in res)
     scale = 1 + sum(abs(complex(c)) ** 2 for c in m.coords())
     return all(abs(complex(r)) <= tol * scale for r in res)
@@ -329,7 +329,7 @@ def sphere_condition(leg: Leg) -> ConstraintHyperplane:
 
 def _check_unit(u, tol):
     n2 = sum(c * c for c in u)
-    if is_exact(n2) or isinstance(n2, int):
+    if is_exact(n2):
         if n2 != 1:
             raise KinmapError("direction must be a unit vector")
     elif abs(to_float(n2) - 1) > tol:
@@ -364,8 +364,9 @@ def angle_condition(u, w,
 def constraint_hyperplane(kind: ConstraintKind, **data) -> ConstraintHyperplane:
     """Dispatching constructor; see the per-kind helpers for semantics."""
     if kind == "sphere":
-        leg = data.get("leg") or Leg(data["a"], data["base"],
-                                     data.get("r2") or exactify(data["r"]) ** 2)
+        leg = data.get("leg") or Leg(
+            data["a"], data["base"],
+            data["r2"] if "r2" in data else exactify(data["r"]) ** 2)
         return sphere_condition(leg)
     if kind == "darboux":
         return darboux_condition(data["a"], data["u"], data["p"],

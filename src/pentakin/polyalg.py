@@ -153,10 +153,12 @@ def _coerce(x):
 
 
 def exactify(x) -> Fraction | GaussRat:
-    """Embed x exactly (floats embed at their exact binary value).
+    """Embed x exactly (floats, sympy Floats among them, embed at their
+    exact binary value).
 
     Accepts int, Fraction, float, complex, GaussRat, "p/q" strings and
-    exact sympy numbers.  Raises PolyalgError for NaN/inf or inexact input.
+    sympy numbers.  Raises PolyalgError for NaN/inf or input that is not a
+    Gaussian rational.
     """
     if isinstance(x, GaussRat):
         return x
@@ -175,10 +177,9 @@ def exactify(x) -> Fraction | GaussRat:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, sp.Expr):
-        re, im = x.as_real_imag()
+        re, im = (sp.Rational(v) if v.is_Float else v
+                  for v in x.as_real_imag())
         if not (re.is_Rational and im.is_Rational):
-            re, im = sp.nsimplify(x, rational=False).as_real_imag()
-        if not (re.is_rational and im.is_rational):
             raise PolyalgError(f"not a Gaussian rational: {x}")
         if im == 0:
             return Fraction(int(re.p), int(re.q))

@@ -80,10 +80,13 @@ def first_reduction(rows, skip=None):
     none.  Each candidate costs one elimination, the one that gives T.
     `skip` excludes one set, so that a second, independent set can be
     drawn."""
-    # a minor with a zero column is singular: a planar base zeroes x3, y3
-    zero = {c for c in range(9) if not any(r[c] for r in rows)}
+    # a minor with a zero column or a zero row is singular: a planar base
+    # zeroes x3, y3, and a Type 5 angle row has no entry on n0, y0..y3
+    support = [{c for c, v in enumerate(r) if v} for r in rows]
+    used = set().union(*support)
     for piv in _CANDIDATES:
-        if piv != skip and zero.isdisjoint(piv):
+        if (piv != skip and used.issuperset(piv)
+                and not any(s.isdisjoint(piv) for s in support)):
             try:
                 return Reduction(rows, piv)
             except SingularMatrixError:

@@ -123,20 +123,18 @@ class SelfMotionDesign:
 
     @cached_property
     def reduction(self) -> Reduction:
-        """The reduced system of the design.  Types 1/2 take the preferred
-        pivots, which leave the platform direction x1, x2, x3 free; Type 5
-        solves for x3, which its angle condition pins, and keeps x1, x2 and
-        one y free.  The conjugate Darboux pair enters as its real and
-        imaginary parts, which span the same rows: T, the unique echelon
-        basis of their null space, is then computed over the rationals."""
+        """The reduced system of the design, on the pivots of
+        `first_reduction`: Types 1/2 leave the platform direction x1, x2,
+        x3 free; Type 5 solves for x3, which its angle condition pins, and
+        keeps x1, x2 and y3 free.  The conjugate Darboux pair enters as its
+        real and imaginary parts, which span the same rows: T, the unique
+        echelon basis of their null space, is then computed over the
+        rationals."""
         rows = [[exactify(c) for c in hp.coeffs] for hp in self.constraints()]
         rows[1:3] = [[c.re if isinstance(c, GaussRat) else c for c in rows[1]],
                      [c.im if isinstance(c, GaussRat) else Fraction(0)
                       for c in rows[1]]]
-        if self.type in (1, 2):
-            return first_reduction(rows)
-        return Reduction(rows, (0, 4, 6, 7, 8) if self.m5[2] != 0
-                         else (0, 4, 5, 6, 7))
+        return first_reduction(rows)
 
     @cached_property
     def _branch_curve(self):
@@ -162,8 +160,17 @@ class SelfMotionDesign:
     def _leftover_quadric(self):
         """Type 5: the index k of the first reduced quadric that involves
         the leftover coordinate s3 (tried as Q2, Q3, Q1), with its s3^2
-        coefficient as a complex number; None when none does."""
+        coefficient as a complex number; None when none does.  Raises
+        NotASelfMotionError unless Q3 is a multiple of Q1 or zero, the
+        condition for the five constraints to leave a curve."""
         quads = polarise(self.reduction.T, phi_residuals, range(4))
+        q1, _, q3 = quads
+        # Q1 holds x1^2 (x1 is free), so `lead` exists, and Q3 = c Q1 iff
+        # each q3[m] q1[lead] equals q1[m] q3[lead]
+        lead = next(m for m, c in q1.items() if c)
+        if any(q3[m] * q1[lead] != q1[m] * q3[lead] for m in q1):
+            raise NotASelfMotionError(
+                "the reduced system has no curve: Q3 is not a multiple of Q1")
         k = next((k for k in (1, 2, 0)
                   if any(c for mono, c in quads[k].items() if mono[3])), None)
         return None if k is None else (k, complex(quads[k][(0, 0, 0, 2)]))
@@ -241,32 +248,6 @@ def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
                                 p2, None, w, None, r5sq)
 
     raise SelfMotionError(f"unknown design type {design_type}")
-
-
-def remaining_relation_residual(d: SelfMotionDesign):
-    """Exact residual of the type-specific closing relation; zero for a
-    valid design."""
-    a2, a3 = d.a2, d.a3
-    A5, B5, C5 = d.m5
-    if d.type == 1:
-        a4 = d.a4
-        k = a2.abs2() - a4 * a4
-        if d.special_branch:
-            return d.r1sq - a4 * a4
-        lead = ((a2 - a4) ** 2 * (a3 - a4) ** 2).re
-        s = 2 * a2.re - 2 * a4
-        return (lead * (2 * k * d.p5 - s * d.r1sq
-                        - (2 * a2.abs2() - 2 * a2.re * a4) * a4)
-                + k * k * s * (A5 * A5 + B5 * B5 + C5 * C5))
-    if d.type == 2:
-        s = 2 * a2.re
-        return ((A5 * A5 + B5 * B5) * s + 2 * a2.abs2() * d.p5 - d.r1sq * s)
-    if d.type == 5:
-        a5 = d.a5
-        s = 2 * a2.re
-        return ((A5 * A5 + B5 * B5 + C5 * C5) * (s - a5)
-                + (d.r1sq - d.r5sq - s * a5 + a5 * a5) * a5)
-    raise SelfMotionError(f"unknown design type {d.type}")
 
 
 def _as_gauss(x) -> GaussRat:
@@ -449,12 +430,9 @@ def trace(design: SelfMotionDesign, samples: int = 200,
     reduced quadrics) runs once per design instance; every call then
     evaluates both branches over the real parameter interval(s) in NumPy.
     Returns an empty sample list flagged complex when no real branch
-    exists.
+    exists; raises NotASelfMotionError when the reduced system leaves no
+    curve.
     """
-    res = remaining_relation_residual(design)
-    if res != 0:
-        raise NotASelfMotionError(
-            f"the leg-parameter relation has residual {res}")
     if design.type in (1, 2):
         return _trace_type12(design, samples, tol)
     return _trace_type5(design, samples, tol)
@@ -546,8 +524,9 @@ def _merge_cells(cells):
 
 
 def _trace_type5(design, samples, tol):
-    # free coordinates: x1, x2 and one leftover y; the platform direction
+    # free coordinates: x1, x2 and the leftover y3; the platform direction
     # circle is x1^2 + x2^2 = 1 - w^2
+    leftover = design._leftover_quadric     # raises for a bad design
     w = to_float(design.w)
     rad2 = 1.0 - w * w
     if rad2 <= tol:
@@ -556,7 +535,6 @@ def _trace_type5(design, samples, tol):
     t = np.linspace(-lim, lim, max(2, samples))
     x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
     n = len(t)
-    leftover = design._leftover_quadric
     # both signs of x2 in one batch: the "a" samples, then the "b" ones
     sols = (_solve_leftover(design.reduction, *leftover,
                             np.concatenate([t, t]),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from pentakin.kinmap import (BoundaryPointError, ConstraintHyperplane,
                              KinmapError, Leg, MotionParams, Pentapod,
-                             StudyParams, angle_condition, darboux_condition,
+                             StudyParams, angle_condition,
+                             constraint_hyperplane, darboux_condition,
                              displacement, gamma_residuals, lift_study,
                              mannheim_condition, phi_residuals,
                              rotation_matrix, sphere_condition,
@@ -175,6 +176,14 @@ class TestConstraints:
     def test_angle_row(self):
         hp = angle_condition((F(1), F(0), F(0)), F(1, 2))
         assert hp.coeffs == (0, F(1, 2), 1, 0, 0, 0, 0, 0, 0)
+
+    def test_constraint_hyperplane_sphere(self):
+        hp = constraint_hyperplane("sphere", a=0, base=(0, 0, 0), r2=4)
+        assert hp == constraint_hyperplane("sphere", a=0, base=(0, 0, 0), r=2)
+        assert hp == sphere_condition(Leg(0, (0, 0, 0), F(4)))
+        for r2 in (0, -1):
+            with pytest.raises(KinmapError):
+                constraint_hyperplane("sphere", a=0, base=(0, 0, 0), r2=r2)
 
     def test_hyperplane_validation(self):
         with pytest.raises(KinmapError):

@@ -44,6 +44,17 @@ class TestGaussRat:
         with pytest.raises(PolyalgError):
             exactify(float("nan"))
 
+    def test_exactify_sympy_float_is_binary(self):
+        # a sympy Float embeds at its exact binary value, as a float does
+        assert exactify(sp.Float(0.1)) == exactify(0.1) == F(0.1)
+        assert exactify(sp.Float(0.1)) != F(1, 10)
+        root2 = 1.4142135623730951
+        assert exactify(sp.Float(root2)) == F(root2)
+        assert exactify(sp.Float(0.5) + sp.Float(0.1) * sp.I) \
+            == GaussRat(F(1, 2), F(0.1))
+        with pytest.raises(PolyalgError):
+            exactify(sp.sqrt(2))
+
 
 class TestResultant:
 

@@ -127,11 +127,12 @@ def test_one_elimination(monkeypatch, systems):
             assert len(calls) == 1
             continue
         # the chooser eliminates once per candidate up to its choice, the
-        # last of these giving T, and skips those with a zero column
-        zero = {c for c in range(9) if not any(r[c] for r in rows)}
+        # last of these giving T, and skips those whose minor has a zero
+        # column or a zero row
         tried = [piv for piv in
                  _CANDIDATES[:_CANDIDATES.index(red.pivots) + 1]
-                 if zero.isdisjoint(piv)]
+                 if all(any(r[c] for r in rows) for c in piv)
+                 and all(any(r[c] for c in piv) for r in rows)]
         assert len(calls) == len(tried)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +9,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_member
+from conftest import rand_frac, random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, stretched_fiber_pentapod,
                      type4_pentapod, type5_parallel_lines_pentapod)
@@ -21,11 +23,33 @@ from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  Reality, SelfMotionError,
                                  circular_translation_check,
                                  duporcq_check, real_legs_from_design,
-                                 reality,
-                                 remaining_relation_residual,
-                                 synth_leg_params, trace, _quadratic_roots)
+                                 reality, synth_leg_params, trace,
+                                 _quadratic_roots)
 
 _I = GaussRat(0, 1)
+
+
+def _draw_design(kind, rng):
+    """A seeded design of Type 1, 2 or 5, or of the Type 1 special branch
+    a2*a3 = a4^2 ("special"); None when the draw degenerates."""
+    fr = lambda: rand_frac(rng)
+    m5 = (fr(), fr(), F(0) if kind == 2 else fr())
+    params = dict(a2=GaussRat(fr(), fr()), m5=m5, r1sq=fr() ** 2 or 1)
+    if kind == "special":
+        # a Pythagorean triple gives |a2| = a4 rational
+        m, n, s = rng.randint(1, 4), rng.randint(1, 4), fr() or 1
+        a4 = (m * m + n * n) * s
+        params.update(a2=GaussRat((m * m - n * n) * s, 2 * m * n * s),
+                      a4=a4, r1sq=a4 * a4, p5=fr())
+        kind = 1
+    elif kind == 1:
+        params["a4"] = fr()
+    elif kind == 5:
+        params["a5"] = fr()
+    try:
+        return synth_leg_params(kind, **params)
+    except DegenerateDesignError:
+        return None
 
 
 class TestSynthesis:
@@ -36,7 +60,7 @@ class TestSynthesis:
         assert d.p3 == d.p2.conjugate()
         assert d.p4 == F(-3, 5)
         assert d.p5 == F(46, 75)
-        assert remaining_relation_residual(d) == 0
+        trace(d)   # raises unless the reduced system leaves a curve
 
     def test_type2_reference_values(self, type2_reference_design):
         d = type2_reference_design
@@ -44,7 +68,7 @@ class TestSynthesis:
         assert d.p3 == GaussRat(-1, 1)
         assert d.p4 == 0
         assert d.p5 == 1
-        assert remaining_relation_residual(d) == 0
+        trace(d)   # raises unless the reduced system leaves a curve
 
     def test_type5_derived_values(self):
         d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=(1, 1, 0), r1sq=1)
@@ -52,7 +76,7 @@ class TestSynthesis:
         assert d.p2 == GaussRat(1, 1)
         assert d.p3 == GaussRat(1, -1)
         assert d.r5sq == 2
-        assert remaining_relation_residual(d) == 0
+        trace(d)   # raises unless the reduced system leaves a curve
 
     @pytest.mark.parametrize("m5, r5sq", [
         ((2, 1, F(1, 2)), F(117, 4)),
@@ -65,7 +89,7 @@ class TestSynthesis:
         iff its reduced Q3 is a multiple of Q1 or vanishes."""
         d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=m5, r1sq=25)
         assert d.r5sq == r5sq
-        assert remaining_relation_residual(d) == 0
+        trace(d)   # raises unless the reduced system leaves a curve
         Q1, _, Q3 = d.reduction.quadrics(sp.symbols("s1 s2 s3"))
         assert Q3.is_zero or (Q3 * Q1.LC() - Q1 * Q3.LC()).is_zero
         if m5 == (2, 1, F(1, 2)):
@@ -79,7 +103,7 @@ class TestSynthesis:
                   synth_leg_params(5, a2=GaussRat(-1, 2), a5=2,
                                    m5=(1, 0, 1), r1sq=9)):
             assert d.p3 == d.p2.conjugate()
-            assert remaining_relation_residual(d) == 0
+            trace(d)   # raises unless the reduced system leaves a curve
 
     def test_real_a2_rejected(self):
         with pytest.raises(DegenerateDesignError):
@@ -97,7 +121,7 @@ class TestSynthesis:
             synth_leg_params(1, a2=a2, a4=5, m5=(1, 1, 1), r1sq=7)
         d = synth_leg_params(1, a2=a2, a4=5, m5=(1, 1, 1), r1sq=25)
         assert d.special_branch
-        assert remaining_relation_residual(d) == 0
+        trace(d)   # raises unless the reduced system leaves a curve
 
     def test_type2_requires_flat_center(self):
         with pytest.raises(DegenerateDesignError):
@@ -366,6 +390,53 @@ class TestTrace:
         object.__setattr__(bad, "p5", bad.p5 + 1)
         with pytest.raises(NotASelfMotionError):
             trace(bad)
+
+    @pytest.mark.parametrize("kind", [1, 2, 5, "special"])
+    def test_moved_closing_value_rejected(self, kind):
+        # the reduced system alone decides whether a design closes: moving
+        # its closing value by a nonzero rational leaves no curve
+        rng = random.Random(f"closing-{kind}")
+        closing = {1: "p5", 2: "p5", 5: "r5sq", "special": "r1sq"}[kind]
+        drawn = wide = 0
+        while drawn < 12:
+            d = _draw_design(kind, rng)
+            if d is None:
+                continue
+            drawn += 1
+            if kind == 5:
+                Q1, _, Q3 = d.reduction.quadrics(sp.symbols("s1 s2 s3"))
+                assert Q3.is_zero or (Q3 * Q1.LC() - Q1 * Q3.LC()).is_zero
+                wide += d.w * d.w >= 1
+            shift = rand_frac(rng) or F(1, 3)
+            bad = dataclasses.replace(
+                d, **{closing: getattr(d, closing) + shift})
+            with pytest.raises(NotASelfMotionError):
+                trace(bad, samples=10)
+        # Type 5 designs whose angle circle is not real are checked too
+        assert kind != 5 or wide
+
+    @pytest.mark.xfail(strict=True, reason="reality says REAL when |C5| < "
+                       "|a5|, but Q2 has no real root in s3 on the circle")
+    @pytest.mark.parametrize("a2, a5, m5, r1sq", [
+        (GaussRat(F(5, 3), -1), F(1, 2), (-2, -2, 0), 36),
+        (GaussRat(-2, F(-1, 4)), -2, (F(5, 4), -1, F(-2, 3)), 2),
+        (GaussRat(-3, 1), F(3, 4), (0, 0, F(-1, 2)), 5),
+    ])
+    def test_type5_reality_matches_trace(self, a2, a5, m5, r1sq):
+        d = synth_leg_params(5, a2=a2, a5=a5, m5=m5, r1sq=r1sq)
+        assert (reality(d).reality is Reality.REAL) \
+            == bool(trace(d, samples=50).samples)
+
+    @pytest.mark.xfail(strict=True, raises=NotASelfMotionError,
+                       reason="with A5 = B5 = 0 the first resultants are "
+                       "the square of a quadratic in x3, not the two-branch "
+                       "curve")
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_mannheim_point_on_axis_traces(self, kind):
+        params = {1: dict(a2=GaussRat(F(3, 4), -4), a4=-1,
+                          m5=(0, 0, F(-4, 3)), r1sq=F(25, 16)),
+                  2: dict(a2=GaussRat(1, 2), m5=(0, 0, 0), r1sq=4)}[kind]
+        trace(synth_leg_params(kind, **params), samples=10)
 
 
 class TestRealLegs:
