@@ -61,8 +61,7 @@ class NecessityVerdict:
 # find_bonds
 # ---------------------------------------------------------------------------
 
-def find_bonds(constraints, tol: float = DEFAULT_TOL,
-               cross_check: bool = True) -> list[Bond]:
+def find_bonds(constraints, tol: float = DEFAULT_TOL) -> list[Bond]:
     """All bonds of a 5-hyperplane constraint system, up to scalar multiples.
 
     The five linear conditions are solved exactly for five coordinates; the
@@ -79,13 +78,10 @@ def find_bonds(constraints, tol: float = DEFAULT_TOL,
         raise DependentConstraintsError(
             "constraint hyperplanes are linearly dependent")
     bonds = _find_bonds_of(red, tol)
-    if cross_check:
-        alt = first_reduction(rows, skip=red.pivots)
-        if alt is not None and not _same_bonds(bonds,
-                                               _find_bonds_of(alt, tol)):
-            raise BondError(
-                "bond set depends on the pivot choice; the system is "
-                "numerically degenerate")
+    alt = first_reduction(rows, skip=red.pivots)
+    if alt is not None and not _same_bonds(bonds, _find_bonds_of(alt, tol)):
+        raise BondError("bond set depends on the pivot choice; the system is "
+                        "numerically degenerate")
     return _pair_conjugates(bonds)
 
 

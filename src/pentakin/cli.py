@@ -250,6 +250,9 @@ def cmd_maxreal(args):
 def _design_from_args(args):
     kwargs = {"a2": _parse_complex(args.a2), "m5": _parse_list(args.m5),
               "r1sq": parse_number(args.r1sq)}
+    if len(kwargs["m5"]) != 3:
+        raise CliError(_EXIT_BAD_INPUT,
+                       f"--m5: need 3 numbers, got {len(kwargs['m5'])}")
     if args.type == 1:
         if args.a4 is None:
             raise CliError(_EXIT_BAD_INPUT, "--a4 is required for type 1")
@@ -330,10 +333,11 @@ def _parse_list(text):
 
 
 def _parse_complex(text):
-    parts = [v.strip() for v in str(text).split(",")]
-    if len(parts) == 1:
-        parts.append("0")
-    re, im = (parse_number(v) for v in parts[:2])
+    parts = str(text).split(",")
+    if len(parts) > 2:
+        raise CliError(_EXIT_BAD_INPUT,
+                       f"--a2: need 1 or 2 numbers, got {len(parts)}")
+    re, im = (parse_number(v.strip()) for v in (parts + ["0"])[:2])
     return GaussRat(re, im)
 
 
@@ -345,8 +349,16 @@ def _parse_complex(text):
 _NUMERIC_COMMANDS = ("dk", "bonds", "trace")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are malformed input (exit 1
+    with a JSON error), not argparse's exit 2."""
+
+    def error(self, message):
+        raise CliError(_EXIT_BAD_INPUT, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pentakin",
         description="Analysis of pentapods with a linear platform")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -400,9 +412,8 @@ def run_command(argv) -> int:
     level = os.environ.get("PENTAKIN_LOG", "").upper()
     if level:
         logging.basicConfig(level=getattr(logging, level, logging.INFO))
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -366,15 +366,20 @@ def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
 # ---------------------------------------------------------------------------
 
 def resultant(p, q, var) -> sp.Expr:
-    """Sylvester resultant of p and q with respect to var.
+    """Sylvester resultant of p and q with respect to var, as an expanded
+    expression: `poly_resultant` of the two as sp.Poly in var, then the
+    other free symbols in name order.
 
     Exact when the inputs are exact.  Zero polynomial input is rejected.
     """
-    pe = sp.expand(p.as_expr() if isinstance(p, sp.Poly) else sp.sympify(p))
-    qe = sp.expand(q.as_expr() if isinstance(q, sp.Poly) else sp.sympify(q))
-    if pe == 0 or qe == 0:
+    pe, qe = (x.as_expr() if isinstance(x, sp.Poly) else sp.sympify(x)
+              for x in (p, q))
+    rest = (pe.free_symbols | qe.free_symbols) - {var}
+    gens = (var, *sorted(rest, key=lambda s: s.name))
+    P, Q = sp.Poly(pe, *gens), sp.Poly(qe, *gens)
+    if P.is_zero or Q.is_zero:
         raise PolyalgError("resultant of the zero polynomial is undefined")
-    return sp.expand(sp.resultant(pe, qe, var))
+    return poly_resultant(P, Q)[0].as_expr()
 
 
 def poly_resultant(P: sp.Poly, Q: sp.Poly):

@@ -158,22 +158,23 @@ class SelfMotionDesign:
 
     @cached_property
     def _leftover_quadric(self):
-        """Type 5: the index k of the first reduced quadric that involves
-        the leftover coordinate s3 (tried as Q2, Q3, Q1), with its s3^2
-        coefficient as a complex number; None when none does.  Raises
+        """Type 5: the s3^2 coefficient of Q2, the one reduced quadric that
+        involves the leftover coordinate s3 = y3.  Raises
         NotASelfMotionError unless Q3 is a multiple of Q1 or zero, the
-        condition for the five constraints to leave a curve."""
-        quads = polarise(self.reduction.T, phi_residuals, range(4))
-        q1, _, q3 = quads
+        condition for the five constraints to leave a curve.
+
+        The angle row pins x3 = -w x0, so Q1 = x1^2 + x2^2 + (w^2 - 1) x0^2
+        is free of s3, and so is Q3, a multiple of Q1.  In Q2 = y1^2 + y2^2
+        + y3^2 - 8 x0 n0 the s3^2 coefficient is 1 + T[y1][3]^2 +
+        T[y2][3]^2 >= 1, T being rational."""
+        q1, q2, q3 = polarise(self.reduction.T, phi_residuals, range(4))
         # Q1 holds x1^2 (x1 is free), so `lead` exists, and Q3 = c Q1 iff
         # each q3[m] q1[lead] equals q1[m] q3[lead]
         lead = next(m for m, c in q1.items() if c)
         if any(q3[m] * q1[lead] != q1[m] * q3[lead] for m in q1):
             raise NotASelfMotionError(
                 "the reduced system has no curve: Q3 is not a multiple of Q1")
-        k = next((k for k in (1, 2, 0)
-                  if any(c for mono, c in quads[k].items() if mono[3])), None)
-        return None if k is None else (k, complex(quads[k][(0, 0, 0, 2)]))
+        return to_float(q2[(0, 0, 0, 2)])
 
 
 def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
@@ -364,30 +365,22 @@ def _lift(x, gen=_Z):
 @dataclass(frozen=True)
 class RealityVerdict:
     reality: Reality
-    method: str  # "formula" | "empirical" | "fiber-distance"
-
-    def __eq__(self, other):
-        if isinstance(other, Reality):
-            return self.reality is other
-        return NotImplemented
+    method: str  # "empirical" | "fiber-distance"
 
 
 def reality(design) -> RealityVerdict:
     """Real-vs-complex verdict for a self-motion.
 
-    Type 5 has the closed criterion |C5| < |a5|; planar affine-relation
-    pentapods use the fiber-distance criterion; Types 1 and 2 are decided
-    empirically by a nonempty real trace.
+    Planar affine-relation pentapods use the fiber-distance criterion.  A
+    design of any type is real iff its configuration curve has real
+    points, read off a 16-sample trace; an arc narrower than the sample
+    spacing can be missed.
     """
     if isinstance(design, Pentapod):
         out = circular_translation_check(design)
         return RealityVerdict(
             Reality.REAL if out.verdict is Reality.REAL else Reality.COMPLEX,
             "fiber-distance")
-    if design.type == 5:
-        C5 = design.m5[2]
-        return RealityVerdict(Reality.REAL if C5 * C5 < design.a5 * design.a5
-                              else Reality.COMPLEX, "formula")
     tr = trace(design, samples=16)
     return RealityVerdict(Reality.REAL if tr.samples else Reality.COMPLEX,
                           "empirical")
@@ -526,7 +519,7 @@ def _merge_cells(cells):
 def _trace_type5(design, samples, tol):
     # free coordinates: x1, x2 and the leftover y3; the platform direction
     # circle is x1^2 + x2^2 = 1 - w^2
-    leftover = design._leftover_quadric     # raises for a bad design
+    a = design._leftover_quadric     # raises for a bad design
     w = to_float(design.w)
     rad2 = 1.0 - w * w
     if rad2 <= tol:
@@ -536,25 +529,23 @@ def _trace_type5(design, samples, tol):
     x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
     n = len(t)
     # both signs of x2 in one batch: the "a" samples, then the "b" ones
-    sols = (_solve_leftover(design.reduction, *leftover,
-                            np.concatenate([t, t]),
-                            np.concatenate([x2abs, -x2abs]), tol)
-            if leftover else [[]] * (2 * n))
+    sols = _solve_leftover(design.reduction, a, np.concatenate([t, t]),
+                           np.concatenate([x2abs, -x2abs]), tol)
     out = [MotionCurveSample(float(t[i]), m, f"{tagx}{k}")
            for i in range(n) for tagx, j in (("a", i), ("b", n + i))
            for k, m in enumerate(sols[j])]
     return TraceResult(tuple(out), bool(out), ((-lim, lim),), "x1")
 
 
-def _solve_leftover(red, k, a, x1, x2, tol):
+def _solve_leftover(red, a, x1, x2, tol):
     """Per sample (x1, x2), the configurations over the leftover free
-    coordinate s3.  On the line P + s3 D of coordinates, quadric k is the
-    quadratic q(P) + s3 grad q(P).D + s3^2 a, a = q(D); its real roots are
-    filtered on all three quadrics, all samples at once."""
+    coordinate s3.  On the line P + s3 D of coordinates, Q2 is the
+    quadratic Q2(P) + s3 grad Q2(P).D + s3^2 a, a = Q2(D); its real roots
+    are filtered on all three quadrics, all samples at once."""
     P = (red.Tn @ np.array([np.ones_like(x1), x1, x2, np.zeros_like(x1)])).real
     D = red.Tn[:, 3].real
-    b = sum((g * d for g, d in zip(phi_gradient(P)[k], D)), np.zeros_like(x1))
-    c = phi_residuals(P)[k]
+    b = sum((g * d for g, d in zip(phi_gradient(P)[1], D)), np.zeros_like(x1))
+    c = phi_residuals(P)[1]
     roots, found = _quadratic_roots(a, b, c)
     found &= ~(np.abs(roots.imag) > LEFTOVER_IMAG_CUT * (1 + np.abs(roots)))
     m = P[:, :, None] + roots.real * D[:, None, None]

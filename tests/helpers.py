@@ -163,3 +163,41 @@ def cylinder_only_pentapod(kind: int, a_values=None):
                     5: (0, 1, -1, 3, F(1, 2))}[kind]
     return Pentapod(tuple(legs_from_constraints(
         cylinder_only_constraints(kind), a_values)))
+
+
+# ---------------------------------------------------------------------------
+# the paper's invariances: each answer survives these three transforms
+# ---------------------------------------------------------------------------
+
+def relabelled(p, order=(2, 0, 4, 1, 3)):
+    """The same pentapod with its legs in another order."""
+    return Pentapod(tuple(p.legs[i] for i in order))
+
+
+def cayley_rotation(u, v, w):
+    """The rational rotation matrix of the Cayley transform of the skew
+    matrix of (u, v, w), in its quaternion form (1, u, v, w)."""
+    n = 1 + u * u + v * v + w * w
+    return [[(1 + u * u - v * v - w * w) / n, 2 * (u * v - w) / n,
+             2 * (u * w + v) / n],
+            [2 * (u * v + w) / n, (1 - u * u + v * v - w * w) / n,
+             2 * (v * w - u) / n],
+            [2 * (u * w - v) / n, 2 * (v * w + u) / n,
+             (1 - u * u - v * v + w * w) / n]]
+
+
+def moved(p):
+    """The pentapod with its base moved rigidly: a rational Cayley rotation
+    about an axis in general position, then a translation."""
+    R = cayley_rotation(F(1, 2), F(-1), F(1, 3))
+    shift = (1, -2, 3)
+    return Pentapod(tuple(
+        Leg(leg.a, tuple(sum(R[i][j] * leg.base[j] for j in range(3))
+                         + shift[i] for i in range(3)), leg.r2)
+        for leg in p.legs))
+
+
+def platform_shifted(p):
+    """The pentapod with the origin of its platform line moved by 7/3."""
+    return Pentapod(tuple(Leg(leg.a + F(7, 3), leg.base, leg.r2)
+                          for leg in p.legs))

@@ -3,13 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_member
+import helpers
 from helpers import (ar_planar_pentapod, cylinder_only_constraints,
                      cylinder_only_pentapod, finite_vertex_pentapod,
-                     ideal_vertex_pentapod, type3_pentapod, type4_pentapod,
+                     ideal_vertex_pentapod, moved, platform_shifted,
+                     relabelled, type3_pentapod, type4_pentapod,
                      type5_parallel_lines_pentapod)
 from pentakin.bonds import (Bond, BondError, DependentConstraintsError,
                             constraints_of, find_bonds, necessity_verdict,
                             tangency_rank)
+from pentakin.dirkin import max_real_solutions, solve_dk
 from pentakin.geom import mobius_equivalent
 from pentakin.kinmap import (ConstraintHyperplane, Leg, MotionParams,
                              Pentapod, gamma_residuals, phi_gradient)
@@ -270,3 +273,42 @@ class TestMobiusCrossCheck:
         # and breaking one projection breaks the circle
         pts[4] = (pts[4][0] + F(1, 9), pts[4][1])
         assert not concyclic(pts).concyclic
+
+
+_DESIGNS = ("ar_planar_pentapod", "congruent_projection_pentapod",
+            "stretched_fiber_pentapod", "ideal_vertex_pentapod",
+            "finite_vertex_pentapod", "type3_pentapod", "type4_pentapod",
+            "type5_parallel_lines_pentapod", "three_real_darboux_pentapod",
+            "cylinder1", "cylinder2", "cylinder5", "type1-reference")
+
+
+class TestInvariance:
+    """Bonds do not depend on the labels of the legs, on the frame of the
+    base or on the origin of the platform line."""
+
+    @staticmethod
+    def _answer(p):
+        v = necessity_verdict(p)
+        return (sorted((b.multiplicity, b.exact) for b in v.bonds),
+                v.jacobian_rank, max_real_solutions(p))
+
+    @pytest.mark.parametrize("name", _DESIGNS)
+    def test_bond_answers(self, name, type1_reference_pentapod):
+        if name == "type1-reference":
+            p = type1_reference_pentapod
+        elif name.startswith("cylinder"):
+            p = cylinder_only_pentapod(int(name[-1]))
+        else:
+            p = getattr(helpers, name)()
+        want = self._answer(p)
+        for q in (relabelled(p), moved(p), platform_shifted(p)):
+            assert self._answer(q) == want
+
+    def test_dk_degree_and_real_count(self, type1_reference_pentapod):
+        p, lengths = type1_reference_pentapod, [2, 1, 5, 3, 4]
+        order = (2, 0, 4, 1, 3)
+        for q, ls in ((p, lengths),
+                      (relabelled(p, order), [lengths[i] for i in order]),
+                      (moved(p), lengths), (platform_shifted(p), lengths)):
+            out = solve_dk(q, lengths=ls)
+            assert (out.degree, len(out.solutions)) == (4, 2)

@@ -256,3 +256,23 @@ class TestContract:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "abc", "argument --samples: invalid int value"),
+        ("--a2", "0,1,2", "--a2: need 1 or 2 numbers, got 3"),
+        ("--m5", "1,1", "--m5: need 3 numbers, got 2"),
+    ], ids=["usage-error", "a2-three-parts", "m5-two-parts"])
+    def test_malformed_design_arguments(self, capsys, flag, value, message):
+        args = {"--a2": "0,1", "--a4": "2", "--m5": "1,1,1", "--r1sq": "3",
+                "--samples": "10", flag: value}
+        argv = ["trace", "--type", "1"] + [x for kv in args.items() for x in kv]
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["trace", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pentakin trace")

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import rand_frac, random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
-                     cylinder_only_pentapod, stretched_fiber_pentapod,
-                     type4_pentapod, type5_parallel_lines_pentapod)
+                     cylinder_only_pentapod, moved, platform_shifted,
+                     relabelled, stretched_fiber_pentapod, type4_pentapod,
+                     type5_parallel_lines_pentapod)
 from pentakin.archsing import WrongBranchError
 from pentakin.kinmap import (Leg, Pentapod, displacement, phi_residuals,
                              sphere_condition)
@@ -20,7 +21,7 @@ from pentakin.polyalg import GaussRat, exactify, mat_rank, to_float
 from pentakin.reduced import Reduction
 from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  LegGenerationError, NotASelfMotionError,
-                                 Reality, SelfMotionError,
+                                 Reality, RealityVerdict, SelfMotionError,
                                  circular_translation_check,
                                  duporcq_check, real_legs_from_design,
                                  reality, synth_leg_params, trace,
@@ -213,23 +214,6 @@ class TestDuporcq:
         assert len(calls) == 2
 
 
-def _relabelled(p):
-    return Pentapod(tuple(reversed(p.legs)))
-
-
-def _moved(p):
-    # rational rotation (cos, sin) = (3/5, 4/5) about z plus a shift
-    c, s = F(3, 5), F(4, 5)
-    return Pentapod(tuple(
-        Leg(leg.a, (c * leg.base[0] - s * leg.base[1] + 1,
-                    s * leg.base[0] + c * leg.base[1] - 2, leg.base[2] + 3))
-        for leg in p.legs))
-
-
-def _platform_shifted(p):
-    return Pentapod(tuple(Leg(leg.a + F(7, 3), leg.base) for leg in p.legs))
-
-
 @pytest.mark.parametrize("make, level", [
     ("type1", Duporcq.FULL),
     ("type2", Duporcq.FULL),
@@ -251,7 +235,7 @@ def test_duporcq_invariance(make, level, type1_reference_pentapod,
          "cylinder2": lambda: cylinder_only_pentapod(2),
          "cylinder5": lambda: cylinder_only_pentapod(5),
          "parallel5": type5_parallel_lines_pentapod}[make]()
-    for q in (p, _relabelled(p), _moved(p), _platform_shifted(p)):
+    for q in (p, relabelled(p), moved(p), platform_shifted(p)):
         assert duporcq_check(q) is level
 
 
@@ -265,7 +249,7 @@ class TestReality:
                                  r1sq=25)
             v = reality(d)
             assert v.reality is expected
-            assert v.method == "formula"
+            assert v.method == "empirical"
 
     def test_type1_empirical(self, type1_reference_design):
         v = reality(type1_reference_design)
@@ -274,6 +258,34 @@ class TestReality:
     def test_planar_fiber_distance(self):
         assert reality(congruent_projection_pentapod()).reality is Reality.REAL
         assert reality(stretched_fiber_pentapod()).reality is Reality.COMPLEX
+
+    def test_verdicts_compare_by_value(self, type1_reference_design):
+        assert RealityVerdict(Reality.REAL, "empirical") \
+            == reality(type1_reference_design)
+        assert RealityVerdict(Reality.REAL, "empirical") \
+            != RealityVerdict(Reality.COMPLEX, "empirical")
+
+    @pytest.mark.parametrize("kind", [1, 2, 5, pytest.param(
+        "special", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the 16th draw has coinciding branches, real only on "
+                   "two arcs of x3 narrower than reality's 16-sample "
+                   "spacing on [-1, 1]"))])
+    def test_reality_is_a_nonempty_trace(self, kind):
+        # one rule for every type: REAL iff a dense trace has samples; for
+        # Type 5 that includes designs with |C5| < |a5| and no real point
+        rng = random.Random(f"reality-{kind}")
+        drawn = witnesses = 0
+        while drawn < 20 or (kind == 5 and not witnesses):
+            assert drawn < 400
+            d = _draw_design(kind, rng)
+            if d is None:
+                continue
+            drawn += 1
+            real = bool(trace(d, samples=200).samples)
+            assert (reality(d).reality is Reality.REAL) == real
+            witnesses += (kind == 5 and not real
+                          and d.m5[2] ** 2 < d.a5 ** 2)
 
 
 class TestTrace:
@@ -415,17 +427,17 @@ class TestTrace:
         # Type 5 designs whose angle circle is not real are checked too
         assert kind != 5 or wide
 
-    @pytest.mark.xfail(strict=True, reason="reality says REAL when |C5| < "
-                       "|a5|, but Q2 has no real root in s3 on the circle")
     @pytest.mark.parametrize("a2, a5, m5, r1sq", [
         (GaussRat(F(5, 3), -1), F(1, 2), (-2, -2, 0), 36),
         (GaussRat(-2, F(-1, 4)), -2, (F(5, 4), -1, F(-2, 3)), 2),
         (GaussRat(-3, 1), F(3, 4), (0, 0, F(-1, 2)), 5),
     ])
     def test_type5_reality_matches_trace(self, a2, a5, m5, r1sq):
+        # |C5| < |a5|, yet Q2 has no real root in s3 on the direction circle
         d = synth_leg_params(5, a2=a2, a5=a5, m5=m5, r1sq=r1sq)
-        assert (reality(d).reality is Reality.REAL) \
-            == bool(trace(d, samples=50).samples)
+        assert m5[2] ** 2 < a5 ** 2
+        assert reality(d).reality is Reality.COMPLEX
+        assert not trace(d, samples=50).samples
 
     @pytest.mark.xfail(strict=True, raises=NotASelfMotionError,
                        reason="with A5 = B5 = 0 the first resultants are "
@@ -595,7 +607,8 @@ class TestExactStage:
                                   LEFTOVER_RESIDUAL_SCALE)
         d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=(1, 1, c5),
                              r1sq=25)
-        k, a = d._leftover_quadric
+        a = d._leftover_quadric
+        assert a >= 1
         red = d.reduction
         rad2 = 1.0 - to_float(d.w) ** 2
         t = np.linspace(-math.sqrt(rad2), math.sqrt(rad2), 30)
@@ -605,9 +618,9 @@ class TestExactStage:
             P = (red.Tn @ np.array([np.ones_like(t), t, x2,
                                     np.zeros_like(t)])).real
             D = red.Tn[:, 3].real
-            b = sum((g * e for g, e in zip(phi_gradient(P)[k], D)),
+            b = sum((g * e for g, e in zip(phi_gradient(P)[1], D)),
                     np.zeros_like(t))
-            c = phi_residuals(P)[k]
+            c = phi_residuals(P)[1]
             per_sample = []
             for i in range(len(t)):
                 sols = []
