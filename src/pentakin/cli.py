@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -133,12 +134,12 @@ def emit(value, exact=False):
         return {"w": emit(value.w, exact), "x": emit(value.x, exact),
                 "y": emit(value.y, exact), "z": emit(value.z, exact)}
     if hasattr(value, "is_number") and value.is_number:  # sympy scalar
-        re, im = value.as_real_imag()
-        if im != 0:
-            return {"re": float(re), "im": float(im)}
-        if exact and re.is_rational:
-            return str(re.p) if re.q == 1 else f"{re.p}/{re.q}"
-        return float(re)
+        real, imag = value.as_real_imag()
+        if imag != 0:
+            return {"re": float(real), "im": float(imag)}
+        if exact and real.is_rational:
+            return str(real.p) if real.q == 1 else f"{real.p}/{real.q}"
+        return float(real)
     return value
 
 
@@ -202,7 +203,7 @@ def cmd_classify(args):
 
 def cmd_dk(args):
     p = load_geometry(args.geometry)
-    lengths = _parse_list(args.lengths) if args.lengths else None
+    lengths = _parse_list(args.lengths, "--lengths") if args.lengths else None
     if lengths is not None and len(lengths) != 5:
         raise CliError(_EXIT_BAD_INPUT, "--lengths: need 5 leg lengths")
     out = solve_dk(p, lengths=lengths, tol=args.tol)
@@ -248,7 +249,8 @@ def cmd_maxreal(args):
 
 
 def _design_from_args(args):
-    kwargs = {"a2": _parse_complex(args.a2), "m5": _parse_list(args.m5),
+    kwargs = {"a2": _parse_complex(args.a2),
+              "m5": _parse_list(args.m5, "--m5"),
               "r1sq": parse_number(args.r1sq)}
     if len(kwargs["m5"]) != 3:
         raise CliError(_EXIT_BAD_INPUT,
@@ -282,7 +284,7 @@ def cmd_synth(args):
     d = _design_from_args(args)
     doc = _design_doc(d, args.exact)
     if args.legs_at:
-        avals = _parse_list(args.legs_at)
+        avals = _parse_list(args.legs_at, "--legs-at")
         legs = real_legs_from_design(d, avals)
         doc["legs"] = []
         for entry in legs:
@@ -299,8 +301,8 @@ def cmd_synth(args):
 
 def cmd_trace(args):
     d = _design_from_args(args)
+    track = _parse_list(args.track, "--track") if args.track else []
     tr = trace(d, samples=args.samples, tol=args.tol)
-    track = _parse_list(args.track) if args.track else []
     if args.out:
         _write_trace_csv(args.out, tr, track)
     doc = {"real": tr.is_real, "samples": len(tr.samples),
@@ -326,10 +328,11 @@ def _write_trace_csv(path, tr, track):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_list(text):
-    if isinstance(text, (list, tuple)):
-        return [parse_number(v) for v in text]
-    return [parse_number(v.strip()) for v in str(text).split(",") if v.strip()]
+def _parse_list(text, flag):
+    parts = [v.strip() for v in text.split(",")]
+    if "" in parts:
+        raise CliError(_EXIT_BAD_INPUT, f"{flag}: empty entry in {text!r}")
+    return [parse_number(v) for v in parts]
 
 
 def _parse_complex(text):
@@ -337,8 +340,8 @@ def _parse_complex(text):
     if len(parts) > 2:
         raise CliError(_EXIT_BAD_INPUT,
                        f"--a2: need 1 or 2 numbers, got {len(parts)}")
-    re, im = (parse_number(v.strip()) for v in (parts + ["0"])[:2])
-    return GaussRat(re, im)
+    real, imag = (parse_number(v.strip()) for v in (parts + ["0"])[:2])
+    return GaussRat(real, imag)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,13 @@ _NUMERIC_COMMANDS = ("dk", "bonds", "trace")
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are malformed input (exit 1
-    with a JSON error), not argparse's exit 2."""
+    with a JSON error), not argparse's exit 2.  A value that starts with a
+    minus sign and a digit, as `--a2 -3,1` or `--a4 -1/2`, is a value, not
+    a flag: no option looks like a negative number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise CliError(_EXIT_BAD_INPUT, message)

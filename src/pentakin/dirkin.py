@@ -23,8 +23,7 @@ from .polyalg import exactify, poly_resultant, real_roots, to_float
 from .rearrange import require_member
 from .reduced import first_reduction, first_resultants
 from .tol import (COMPLETION_RESIDUAL, DEFAULT_TOL, DISPLACEMENT_CHECK,
-                  IMAG_CUT, MP_POLISH_STOP, MP_POLISH_SWITCH, NEWTON_STOP,
-                  POSE_MERGE, START_CUT)
+                  IMAG_CUT, NEWTON_STOP, POSE_MERGE, START_CUT)
 
 _XS = sp.symbols("q1 q2 q3")
 _FLOAT_BITS = 1000          # see _to_complex
@@ -46,7 +45,7 @@ class DKResult:
     polynomial: sp.Poly           # univariate elimination polynomial (exact)
     variable: str                 # which motion coordinate it eliminates to
     solutions: tuple              # real configurations
-    route: str                    # "cascade" | "cascade-rot<n>"
+    route: str                    # always "cascade"
     pivots: tuple                 # coordinate names solved linearly
 
     @property
@@ -67,6 +66,17 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     later one where its start misses the quadrics; the null vector of the
     quadrics' coefficients in the first coordinate gives that one, and one
     Newton polish and the residual filter give the solutions.
+
+    The elimination runs once, in the order (q1, q2, q3).  A finite
+    solution's q3 is a root of every pairwise resultant, hence of their
+    gcd, so the eliminant is constant only where no finite solution
+    exists, or where the first resultants share a factor, as a curve of
+    solutions (a self-motion) makes them do in every order; both raise
+    DirkinError.
+
+    With float (not exact) squared lengths, a pose that coincides with its
+    mirror image can come back as several poses about sqrt(EPS) apart, or
+    as none where the rounding moves its double root off the real line.
     """
     legs = _legs_with_lengths(p, lengths, lengths2)
     rows = [[exactify(c) for c in sphere_condition(leg).coeffs] for leg in legs]
@@ -75,22 +85,14 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
         raise DependentConstraintsError(
             "sphere hyperplanes are linearly dependent: architecturally "
             "singular geometry")
-    quadrics = red.quadrics(_XS)
-    # rotate the elimination roles when the last variable degenerates
-    for rot in range(3):
-        order = _XS[rot:] + _XS[:rot]
-        quads = tuple(q.reorder(*order) for q in quadrics)
-        elim, chains = _eliminate_cascade(first_resultants(quads))
-        if elim is not None and elim.degree() > 0:
-            route = f"cascade-rot{rot}" if rot else "cascade"
-            break
-    else:
+    quads = red.quadrics(_XS)
+    elim, chains = _eliminate_cascade(first_resultants(quads))
+    if elim is None or elim.degree() <= 0:
         raise DirkinError("elimination collapsed; degenerate geometry")
     elim = _primitive(elim)
-    sols = _real_solutions(red, _starts(elim, chains, quads, rot, red),
-                           legs, tol)
+    sols = _real_solutions(red, _starts(elim, chains, quads, red), legs, tol)
     pivot_names = tuple(COORD_NAMES[c] for c in red.pivots)
-    return DKResult(elim, str(order[2]), tuple(sols), route, pivot_names)
+    return DKResult(elim, str(_XS[2]), tuple(sols), "cascade", pivot_names)
 
 
 def _legs_with_lengths(p, lengths, lengths2):
@@ -178,7 +180,7 @@ def _first_candidates(rows, f2, f3):
     return [v[1] / v[2]]
 
 
-def _starts(elim, chains, quads, rot, red):
+def _starts(elim, chains, quads, red):
     """Start points (s1, s2, s3) of the polish, root by root.  f3 is a real
     root r of elim, f2 a root of the first chain member S_j, pairs in order
     and j ascending, whose principal coefficient psc_j does not vanish at
@@ -201,7 +203,7 @@ def _starts(elim, chains, quads, rot, red):
     def meeting(S, r):
         for f2 in np.roots(_member_at(S, r)):
             for f1 in _first_candidates(rows, f2, r):
-                point = np.roll([f1, f2, r], rot)      # (s1, s2, s3)
+                point = [f1, f2, r]
                 vals = (red.Tn @ np.r_[1, point]).tolist()
                 if _scaled_residual(vals) <= START_CUT:
                     yield point
@@ -220,8 +222,8 @@ def _scaled_residual(vals):
 
 def _polish(red, point, steps: int = 30):
     """Damped least-squares Newton on the three reduced quadrics from a
-    point (s1, s2, s3): the last iterate, which has the least residual, or
-    the mpmath polish's where float64 cannot reach MP_POLISH_SWITCH."""
+    point (s1, s2, s3), in float64: the last iterate, which has the least
+    residual."""
     T = red.Tn
 
     def F_(v):
@@ -247,33 +249,7 @@ def _polish(red, point, steps: int = 30):
                 break
         else:
             break
-    if r > MP_POLISH_SWITCH * (1 + np.abs(x).max() ** 2):
-        return _polish_mp(red, x)
     return x
-
-
-def _polish_mp(red, point, steps: int = 40):
-    """High-precision Newton for fibers too ill-conditioned for float64."""
-    import mpmath
-    with mpmath.workdps(40):
-        T = red.mp_matrix()
-        x = [mpmath.mpc(v) for v in point]
-        best = None
-        for _ in range(steps):
-            c = list(T * mpmath.matrix([1, *x]))
-            f = mpmath.matrix(phi_residuals(c))
-            r = max(abs(v) for v in f)
-            if best is None or r < best[0]:
-                best = (r, list(x))
-            if r < MP_POLISH_STOP:
-                break
-            try:
-                J = mpmath.matrix(phi_gradient(c)) * T[:, 1:4]
-                dx = mpmath.lu_solve(J, f)
-            except Exception:
-                break
-            x = [xv - dv for xv, dv in zip(x, dx)]
-        return tuple(complex(v) for v in best[1])
 
 
 def _real_solutions(red, starts, legs, tol):

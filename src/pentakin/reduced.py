@@ -24,8 +24,8 @@ import numpy as np
 import sympy as sp
 
 from .kinmap import phi_residuals
-from .polyalg import (GaussRat, SingularMatrixError, echelon_solve,
-                       poly_resultant, to_sympy)
+from .polyalg import (SingularMatrixError, echelon_solve, poly_resultant,
+                      to_sympy)
 
 # Pivot sets in order of preference: n0 and y0..y3 first, which leaves the
 # platform direction x1, x2, x3 free; then the same with one y swapped for
@@ -131,14 +131,3 @@ class Reduction:
             .clear_denoms(convert=True)[1]
             for q in polarise(self.T, phi_residuals, range(4)))
 
-    def mp_matrix(self):
-        """T as an mpmath matrix at the current working precision, converted
-        from the exact entries."""
-        import mpmath
-
-        def mp(v):
-            if isinstance(v, GaussRat):
-                return mpmath.mpc(mp(v.re), mp(v.im))
-            return mpmath.mpf(v.numerator) / v.denominator
-
-        return mpmath.matrix([[mp(v) for v in row] for row in self.T])

@@ -260,11 +260,11 @@ def _as_gauss(x) -> GaussRat:
 # Duporcq condition on user pentapods
 # ---------------------------------------------------------------------------
 
-def duporcq_check(p: Pentapod, tol: float = DEFAULT_TOL) -> Duporcq:
+def duporcq_check(p: Pentapod) -> Duporcq:
     """Geometric levels of the replacement-locus condition for Types 1/2/5:
     FIRST_ONLY when the locus lies on a cylinder of revolution, FULL when
     it is a straight cubic circle (circle + orthogonal line for Type 2).
-    The decision is exact and takes no tolerance; `tol` is ignored."""
+    The decision is exact and takes no tolerance."""
     if p.is_base_planar():
         require_member(p)
         kind = "planar_pencil"

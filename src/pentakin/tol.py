@@ -3,8 +3,8 @@
 Exact stages take no tolerance; these apply where floats enter.  First
 the default `tol` of the public functions and of the CLI.  In direct
 kinematics: the rank of the quadrics' coefficient rows at a root in
-back-substitution, the Newton polish and the cut between real and complex
-poses; there a residual is the largest quadric residual of a
+back-substitution, the float64 Newton polish and the cut between real
+and complex poses; there a residual is the largest quadric residual of a
 configuration x divided by 1 + |x|^2, so every threshold is relative to
 the scale of the point.  In self-motion tracing: the per-sample
 completions of the configuration curve and the circular-translation
@@ -37,14 +37,6 @@ START_CUT = 1e-4
 #: this (or the caller's tol, if larger).  It is about sqrt(EPS) = 1.5e-8,
 #: the accuracy left at a double root of the eliminant.
 COMPLETION_RESIDUAL = 1e-8
-
-#: Above this scaled residual after float Newton (about 1e4 EPS) a fibre
-#: is too ill-conditioned for float64, and the 40-digit mpmath polish runs.
-MP_POLISH_SWITCH = 1e-12
-
-#: The 40-digit mpmath polish stops below this residual: ten digits above
-#: its working precision, and far below float64's round-off.
-MP_POLISH_STOP = 1e-30
 
 #: A polished pose is real when every coordinate's imaginary part is at
 #: most this relative to its size: about 7 sqrt(EPS), since a tangent

@@ -186,15 +186,19 @@ def cayley_rotation(u, v, w):
              (1 - u * u - v * v + w * w) / n]]
 
 
-def moved(p):
-    """The pentapod with its base moved rigidly: a rational Cayley rotation
-    about an axis in general position, then a translation."""
+def moved_point(P):
+    """The point P under the rigid motion of `moved`: a rational Cayley
+    rotation about an axis in general position, then a translation."""
     R = cayley_rotation(F(1, 2), F(-1), F(1, 3))
     shift = (1, -2, 3)
-    return Pentapod(tuple(
-        Leg(leg.a, tuple(sum(R[i][j] * leg.base[j] for j in range(3))
-                         + shift[i] for i in range(3)), leg.r2)
-        for leg in p.legs))
+    return tuple(sum(R[i][j] * P[j] for j in range(3)) + shift[i]
+                 for i in range(3))
+
+
+def moved(p):
+    """The pentapod with its base moved rigidly by `moved_point`."""
+    return Pentapod(tuple(Leg(leg.a, moved_point(leg.base), leg.r2)
+                          for leg in p.legs))
 
 
 def platform_shifted(p):

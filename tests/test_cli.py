@@ -271,6 +271,37 @@ class TestContract:
         assert code == 1 and out == ""
         assert json.loads(err)["error"].startswith(message)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--m5", "1,,1,1"),
+        ("dk", "--lengths", "2,,1,5,3,4"),
+        ("synth", "--legs-at", "0,1,"),
+        ("trace", "--track", ",1"),
+    ], ids=["m5", "lengths", "legs-at", "track"])
+    def test_empty_list_entry(self, geom_file, capsys, command, flag, value):
+        # an empty entry is malformed input, not a list one entry shorter
+        design = ["--type", "1", "--a2", "0,1", "--a4", "2", "--m5", "1,1,1",
+                  "--r1sq", "3"]
+        argv = {"dk": ["dk", geom_file], "synth": ["synth", *design],
+                "trace": ["trace", *design, "--samples", "10"]}[command]
+        code = run_command(argv + [flag, value])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == f"{flag}: empty entry in {value!r}"
+
+    @pytest.mark.parametrize("flag, value, key, want", [
+        ("--a2", "-3,1", "a2", {"re": "-3", "im": "1"}),
+        ("--m5", "-2,-2,0", "m5", ["-2", "-2", "0"]),
+        ("--a4", "-1/2", "a4", "-1/2"),
+    ], ids=["a2", "m5", "a4"])
+    def test_value_with_minus_sign(self, capsys, flag, value, key, want):
+        # a value that starts with a minus sign is a value, not a flag
+        args = {"--a2": "0,1", "--a4": "2", "--m5": "1,1,1", "--r1sq": "3",
+                flag: value}
+        argv = ["synth", "--type", "1", "--exact"] + [
+            x for kv in args.items() for x in kv]
+        code, doc = run(capsys, *argv)
+        assert code == 0 and doc[key] == want
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_command(["trace", "--help"])

@@ -7,7 +7,10 @@ import pytest
 from conftest import rand_frac, random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, finite_vertex_pentapod,
-                     ideal_vertex_pentapod, type5_parallel_lines_pentapod)
+                     ideal_vertex_pentapod, moved, moved_point,
+                     platform_shifted, relabelled,
+                     type5_parallel_lines_pentapod)
+from pentakin import dirkin
 from pentakin.bonds import DependentConstraintsError
 from pentakin.dirkin import DirkinError, max_real_solutions, solve_dk
 from pentakin.kinmap import (Leg, MotionParams, Pentapod, StudyParams,
@@ -206,6 +209,42 @@ class TestSolveDK:
         assert len(out.solutions) == 4
         assert recovers(out, pose.coords())
 
+    @staticmethod
+    def _near(a, b):
+        """Whether every pose of `a` lies within 1e-6 of a pose of `b`."""
+        return all(any(max(abs(x - y) for x, y in zip(s.params.coords(),
+                                                      t.params.coords()))
+                       <= 1e-6 for t in b.solutions) for s in a.solutions)
+
+    @pytest.mark.parametrize("design", [
+        ar_planar_pentapod, congruent_projection_pentapod,
+        ideal_vertex_pentapod, finite_vertex_pentapod])
+    def test_base_plane_pose_float_lengths(self, design):
+        # the poses of test_base_plane_pose with float-rounded lengths
+        p = design()
+        pose = MotionParams(*(F(v) for v in pose_params(
+            (F(-1, 3), F(-2, 3), F(-2, 3)), (F(-4, 3), -1, 0)).coords()))
+        exact = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        rounded = solve_dk(p, lengths2=forward_lengths2(p, pose.scaled(1.0)))
+        assert self._near(rounded, exact) and self._near(exact, rounded)
+
+    @pytest.mark.parametrize("design", [
+        ar_planar_pentapod, congruent_projection_pentapod,
+        ideal_vertex_pentapod, finite_vertex_pentapod])
+    def test_in_plane_line_float_lengths(self, design):
+        # the platform line lies in the base plane, so the pose is its own
+        # mirror image: a double root of the eliminant.  Float rounding
+        # splits it into near-duplicate poses about sqrt(EPS) apart, or
+        # moves it off the real line and leaves no pose; every pose it
+        # gives is near the exact one
+        p = design()
+        pose = MotionParams(*(F(v) for v in pose_params(
+            (0, 1, 0), (F(-4, 3), -1, 0)).coords()))
+        exact = solve_dk(p, lengths2=forward_lengths2(p, pose))
+        rounded = solve_dk(p, lengths2=forward_lengths2(p, pose.scaled(1.0)))
+        assert len(exact.solutions) == 1
+        assert self._near(rounded, exact)
+
     @pytest.mark.parametrize("draw", [1, 2])
     @pytest.mark.parametrize("interleaved", [True, False],
                              ids=["criterion-05", "consecutive"])
@@ -348,3 +387,67 @@ class TestMaxReal:
             m = lift_study(random_study(rng))
             out = solve_dk(p, lengths2=forward_lengths2(p, m))
             assert out.degree <= bound
+
+
+def _anchor_points(out, p):
+    """Per real pose of `out`, the displaced anchor points -a x - y of the
+    legs of `p`, in leg order."""
+    return [[tuple(-to_float(leg.a) * x - y
+                   for x, y in zip(s.params.x(), s.params.y()))
+             for leg in p.legs] for s in out.solutions]
+
+
+class TestInvariance:
+    """DK answers do not depend on the labels of the legs, on the frame of
+    the base or on the origin of the platform line: the eliminant degree
+    and the real count are unchanged, and each pose's displaced anchor
+    points, mapped through the transform, are a pose of the transformed
+    pentapod."""
+
+    ORDER = (2, 0, 4, 1, 3)
+
+    @pytest.mark.parametrize("design", [
+        "generic-0", "generic-1", "generic-2", "generic-3", "planar-0",
+        "planar-1", "type1-reference"])
+    def test_poses_follow_the_transform(self, design,
+                                        type1_reference_pentapod):
+        rng = random.Random(f"dk-invariance-{design}")
+        if design == "type1-reference":
+            p = type1_reference_pentapod
+        else:
+            p = random_member(rng, planar=design.startswith("planar"))
+        lengths2 = forward_lengths2(p, lift_study(random_study(rng)))
+        out = solve_dk(p, lengths2=lengths2)
+        assert out.solutions
+        want = _anchor_points(out, p)
+        order = self.ORDER
+        for q, ls, image in (
+                (relabelled(p, order), [lengths2[i] for i in order],
+                 lambda pts: [pts[i] for i in order]),
+                (moved(p), lengths2, lambda pts: list(map(moved_point, pts))),
+                (platform_shifted(p), lengths2, lambda pts: pts)):
+            got = solve_dk(q, lengths2=ls)
+            assert (got.degree, len(got.solutions)) == (
+                out.degree, len(out.solutions))
+            poses = _anchor_points(got, q)
+            for pts in map(image, want):
+                scale = 1 + max(abs(c) for P in pts for c in P)
+                assert any(max(abs(a - b) for P, Q in zip(pts, other)
+                               for a, b in zip(P, Q)) <= 1e-9 * scale
+                           for other in poses)
+
+
+def test_self_motion_collapses_in_one_elimination(monkeypatch,
+                                                  type1_reference_pentapod):
+    # at its own leg lengths the Type 1 reference pentapod moves: every
+    # pairwise resultant vanishes, and one elimination says so
+    calls, first_resultants = [], dirkin.first_resultants
+
+    def spy(quads):
+        calls.append(quads)
+        return first_resultants(quads)
+
+    monkeypatch.setattr(dirkin, "first_resultants", spy)
+    with pytest.raises(DirkinError, match="elimination collapsed"):
+        solve_dk(type1_reference_pentapod)
+    assert len(calls) == 1

@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -23,12 +22,6 @@ from test_dirkin import forward_lengths2, random_study
 
 def _rows(constraints):
     return [[exactify(c) for c in hp.coeffs] for hp in constraints]
-
-
-def _mp(x):
-    if isinstance(x, GaussRat):
-        return mpmath.mpc(_mp(x.re), _mp(x.im))
-    return mpmath.mpf(x.numerator) / x.denominator
 
 
 @pytest.fixture
@@ -79,11 +72,6 @@ def test_numeric_matches_exact(systems):
             got = red.Tn @ np.array([float(e) for e in v])
             for g, e in zip(got, exact):
                 assert abs(g - complex(e)) <= 1e-12 * (1 + abs(complex(e)))
-            # the mpmath matrix carries the exact entries to 40 digits
-            with mpmath.workdps(40):
-                col = red.mp_matrix() * mpmath.matrix([_mp(e) for e in v])
-                for k, e in enumerate(exact):
-                    assert abs(col[k] - _mp(e)) <= 1e-35 * (1 + abs(_mp(e)))
 
 
 def test_pivot_choice(type1_reference_pentapod):
