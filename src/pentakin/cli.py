@@ -203,7 +203,8 @@ def cmd_classify(args):
 
 def cmd_dk(args):
     p = load_geometry(args.geometry)
-    lengths = _parse_list(args.lengths, "--lengths") if args.lengths else None
+    lengths = (None if args.lengths is None
+               else _parse_list(args.lengths, "--lengths"))
     if lengths is not None and len(lengths) != 5:
         raise CliError(_EXIT_BAD_INPUT, "--lengths: need 5 leg lengths")
     out = solve_dk(p, lengths=lengths, tol=args.tol)
@@ -283,7 +284,7 @@ def _design_doc(d, exact):
 def cmd_synth(args):
     d = _design_from_args(args)
     doc = _design_doc(d, args.exact)
-    if args.legs_at:
+    if args.legs_at is not None:
         avals = _parse_list(args.legs_at, "--legs-at")
         legs = real_legs_from_design(d, avals)
         doc["legs"] = []
@@ -301,7 +302,8 @@ def cmd_synth(args):
 
 def cmd_trace(args):
     d = _design_from_args(args)
-    track = _parse_list(args.track, "--track") if args.track else []
+    track = ([] if args.track is None
+             else _parse_list(args.track, "--track"))
     tr = trace(d, samples=args.samples, tol=args.tol)
     if args.out:
         _write_trace_csv(args.out, tr, track)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,9 +26,9 @@ from .polyalg import GaussRat, exactify, mat_solve_general, to_float
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
 from .reduced import Reduction, first_reduction, first_resultants, polarise
-from .tol import (CELL_MERGE, DEFAULT_TOL, LEFTOVER_IMAG_CUT,
-                  LEFTOVER_RESIDUAL_FLOOR, LEFTOVER_RESIDUAL_SCALE,
-                  LEG_VECTOR_ZERO, SAMPLE_RESIDUAL_SCALE)
+from .tol import (CELL_MERGE, DEFAULT_TOL, LEFTOVER_RESIDUAL_FLOOR,
+                  LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
+                  SAMPLE_RESIDUAL_SCALE)
 
 _I = GaussRat(0, 1)
 
@@ -150,7 +150,13 @@ class SelfMotionDesign:
                 "the reduced system does not contain the two-branch curve")
         c2, c1, c0 = _coeffs_in_first(g)
         disc = c1 * c1 - 4 * c2 * c0
-        coeffs = tuple(_float_coeffs(p) for p in (c2, c1, c0, disc))
+        # g divided by 2**bits, its coefficients' bound, has finite float
+        # coefficients also where float parameters give g hundreds of bits
+        # (and disc twice as many); an exact power of two leaves the roots
+        # and every float's mantissa as they were
+        bits = max(abs(int(c)).bit_length() for c in g.coeffs())
+        coeffs = tuple(_float_coeffs(p, k * bits) for p, k in
+                       ((c2, 1), (c1, 1), (c0, 1), (disc, 2)))
         for c in coeffs:
             c.flags.writeable = False   # shared by every later trace
         intervals, rts = _real_intervals(disc, coeffs[3])
@@ -223,16 +229,13 @@ def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
                                 p2, p4, None, p5v, None, special_branch=True)
 
     if design_type == 2:
+        # the Type 1 formulas at a4 = 0; C5 = 0 then gives p4 = 0
         if C5 != 0:
             raise DegenerateDesignError("type 2 requires C5 = 0")
-        if norm == 0:
-            raise DegenerateDesignError("a2 must be nonzero for type 2")
-        p2 = -a2 * (GaussRat(A5) - _I * GaussRat(B5)) / a3
         if two_re == 0:
             raise DegenerateDesignError("a2 + a3 = 0 degenerates type 2")
-        p5v = (r1sq * two_re - (A5 * A5 + B5 * B5) * two_re) / (2 * norm)
-        return SelfMotionDesign(2, a2, Fraction(0), None, (A5, B5, C5), r1sq,
-                                p2, Fraction(0), None, p5v, None)
+        return replace(synth_leg_params(1, a2=a2, a4=0, m5=m5, r1sq=r1sq),
+                       type=2)
 
     if design_type == 5:
         a5 = exactify(a5)
@@ -434,8 +437,9 @@ def trace(design: SelfMotionDesign, samples: int = 200,
 _S = sp.symbols("s1 s2 s3")
 
 
-def _float_coeffs(p: sp.Poly):
-    return np.array([complex(c).real for c in p.all_coeffs()])
+def _float_coeffs(p: sp.Poly, bits):
+    """The coefficients of p divided by 2**bits, as floats."""
+    return np.array([complex(c / 2 ** bits).real for c in p.all_coeffs()])
 
 
 def _trace_type12(design, samples, tol):
@@ -451,15 +455,23 @@ def _trace_type12(design, samples, tol):
     keep = (dv >= 0) & (c2v != 0)
     root = np.sqrt(np.maximum(dv, 0.0))
     den = np.where(keep, 2 * c2v, 1.0)
-    branches = []
+    out = []
     for sign, branch in ((1.0, "upper"), (-1.0, "lower")):
         m, ok = _complete_samples(design.reduction,
                                   (-c1v + sign * root) / den, t, tol)
-        branches.append((branch, m.T.tolist(), ok))
-    out = [MotionCurveSample(float(t[i]), MotionParams(*m[i]), branch)
-           for i in np.flatnonzero(keep)
-           for branch, m, ok in branches if ok[i]]
-    return TraceResult(tuple(out), bool(out), intervals, "x3")
+        out.append((branch, m, ok & keep))
+    kept = _curve_samples(t, out)
+    return TraceResult(kept, bool(kept), intervals, "x3")
+
+
+def _curve_samples(t, branches):
+    """The samples of the named branches, each given as its configurations
+    (9 x N) and the mask of the kept ones, in order of t and, at one t, in
+    the order of `branches`."""
+    cols = [(name, m.T.tolist(), ok.tolist()) for name, m, ok in branches]
+    return tuple(MotionCurveSample(ti, MotionParams(*m[i]), name)
+                 for i, ti in enumerate(t.tolist())
+                 for name, m, ok in cols if ok[i])
 
 
 def _coeffs_in_first(p: sp.Poly):
@@ -527,56 +539,36 @@ def _trace_type5(design, samples, tol):
     lim = math.sqrt(rad2)
     t = np.linspace(-lim, lim, max(2, samples))
     x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
-    n = len(t)
-    # both signs of x2 in one batch: the "a" samples, then the "b" ones
-    sols = _solve_leftover(design.reduction, a, np.concatenate([t, t]),
-                           np.concatenate([x2abs, -x2abs]), tol)
-    out = [MotionCurveSample(float(t[i]), m, f"{tagx}{k}")
-           for i in range(n) for tagx, j in (("a", i), ("b", n + i))
-           for k, m in enumerate(sols[j])]
-    return TraceResult(tuple(out), bool(out), ((-lim, lim),), "x1")
+    # branch a has x2 >= 0, b has x2 <= 0; suffix 0 takes the root with
+    # +sqrt(disc), suffix 1 the one with -sqrt(disc)
+    out = []
+    for tagx, x2 in (("a", x2abs), ("b", -x2abs)):
+        m, found = _solve_leftover(design.reduction, a, t, x2, tol)
+        out += [(f"{tagx}{k}", m[:, k], found[k]) for k in (0, 1)]
+    kept = _curve_samples(t, out)
+    return TraceResult(kept, bool(kept), ((-lim, lim),), "x1")
 
 
 def _solve_leftover(red, a, x1, x2, tol):
     """Per sample (x1, x2), the configurations over the leftover free
     coordinate s3.  On the line P + s3 D of coordinates, Q2 is the
-    quadratic Q2(P) + s3 grad Q2(P).D + s3^2 a, a = Q2(D); its real roots
-    are filtered on all three quadrics, all samples at once."""
+    quadratic a s3^2 + b s3 + c with b = grad Q2(P).D, c = Q2(P) and
+    a = Q2(D) >= 1; its roots (-b + sqrt(disc)) / 2a and (-b - sqrt(disc))
+    / 2a, disc = b^2 - 4ac, give the configurations (9 x 2 x N), and the
+    masks (2 x N) of the samples where the root is real (disc >= 0) and
+    passes the residual filter on all three quadrics."""
     P = (red.Tn @ np.array([np.ones_like(x1), x1, x2, np.zeros_like(x1)])).real
     D = red.Tn[:, 3].real
     b = sum((g * d for g, d in zip(phi_gradient(P)[1], D)), np.zeros_like(x1))
     c = phi_residuals(P)[1]
-    roots, found = _quadratic_roots(a, b, c)
-    found &= ~(np.abs(roots.imag) > LEFTOVER_IMAG_CUT * (1 + np.abs(roots)))
-    m = P[:, :, None] + roots.real * D[:, None, None]
+    disc = b * b - 4 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    s3 = np.array([-b + root, -b - root]) / (2 * a)
+    m = P[:, None, :] + s3 * D[:, None, None]
     err = np.abs(np.array(phi_residuals(m))).max(axis=0)
-    found &= err <= max(tol * LEFTOVER_RESIDUAL_SCALE, LEFTOVER_RESIDUAL_FLOOR)
-    return [[MotionParams(*v) for v, ok in zip(vs, oks) if ok]
-            for vs, oks in zip(m.transpose(1, 2, 0).tolist(), found.tolist())]
-
-
-def _quadratic_roots(a, b, c):
-    """The roots of a s^2 + b s + c per sample, exactly as `np.roots` gives
-    them: an (N, 2) complex array and the mask of its entries that are
-    roots.  Rows with a != 0 and c != 0 take one stacked `eigvals` of their
-    companion matrices [[-b/a, -c/a], [1, 0]], which is np.roots' own
-    computation; np.roots strips a leading or trailing zero, so it keeps
-    the other rows."""
-    p = np.stack(np.broadcast_arrays(a, b, c), axis=-1).astype(complex)
-    roots = np.zeros((len(p), 2), dtype=complex)
-    found = np.zeros((len(p), 2), dtype=bool)
-    full = (p[:, 0] != 0) & (p[:, 2] != 0)
-    q = p[full]
-    comp = np.zeros((len(q), 2, 2), dtype=complex)
-    comp[:, 0] = -q[:, 1:] / q[:, :1]
-    comp[:, 1, 0] = 1
-    roots[full] = np.linalg.eigvals(comp)
-    found[full] = True
-    for i in np.flatnonzero(~full):
-        r = np.roots(p[i])
-        roots[i, :len(r)] = r
-        found[i, :len(r)] = True
-    return roots, found
+    found = (disc >= 0) & (err <= max(tol * LEFTOVER_RESIDUAL_SCALE,
+                                      LEFTOVER_RESIDUAL_FLOOR))
+    return m, found
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ back-substitution, the float64 Newton polish and the cut between real
 and complex poses; there a residual is the largest quadric residual of a
 configuration x divided by 1 + |x|^2, so every threshold is relative to
 the scale of the point.  In self-motion tracing: the per-sample
-completions of the configuration curve and the circular-translation
-direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
+completions of the configuration curve (a root of one of its quadratics
+is real where the discriminant is >= 0, with no tolerance) and the
+circular-translation direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
 In the geometric predicates and root isolation: float inputs only.  EPS
 is float64's machine epsilon, 2.2e-16.
 """
@@ -69,17 +70,11 @@ CELL_MERGE = 1e-12
 #: branch point, so the filter sits one order above the tol.
 SAMPLE_RESIDUAL_SCALE = 10
 
-#: A Type 5 sample's root of the quadratic in the leftover coordinate is
-#: real when its imaginary part is at most this relative to 1 + |root|:
-#: about 2/3 sqrt(EPS), the order to which np.roots finds a double
-#: (tangent) root.
-LEFTOVER_IMAG_CUT = 1e-8
-
 #: A Type 5 configuration is kept when its largest quadric residual is at
 #: most this many times the caller's tol, and never below
-#: LEFTOVER_RESIDUAL_FLOOR: the real part of a near-double root carries an
-#: error of order sqrt(EPS), which the other two quadrics see to first
-#: order.
+#: LEFTOVER_RESIDUAL_FLOOR: a near-double root of the quadratic in the
+#: leftover coordinate, whose discriminant is near zero, carries an error
+#: of order sqrt(EPS), which the other two quadrics see to first order.
 LEFTOVER_RESIDUAL_SCALE = 100
 
 #: The lower bound of the Type 5 residual filter (about 7 sqrt(EPS), as for

@@ -276,9 +276,14 @@ class TestContract:
         ("dk", "--lengths", "2,,1,5,3,4"),
         ("synth", "--legs-at", "0,1,"),
         ("trace", "--track", ",1"),
-    ], ids=["m5", "lengths", "legs-at", "track"])
+        ("dk", "--lengths", ""),
+        ("synth", "--legs-at", ""),
+        ("trace", "--track", ""),
+    ], ids=["m5", "lengths", "legs-at", "track", "lengths-empty",
+            "legs-at-empty", "track-empty"])
     def test_empty_list_entry(self, geom_file, capsys, command, flag, value):
-        # an empty entry is malformed input, not a list one entry shorter
+        # an empty entry is malformed input, not a list one entry shorter,
+        # and an empty value is not an absent flag
         design = ["--type", "1", "--a2", "0,1", "--a4", "2", "--m5", "1,1,1",
                   "--r1sq", "3"]
         argv = {"dk": ["dk", geom_file], "synth": ["synth", *design],

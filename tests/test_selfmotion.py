@@ -24,8 +24,7 @@ from pentakin.selfmotion import (DegenerateDesignError, Duporcq,
                                  Reality, RealityVerdict, SelfMotionError,
                                  circular_translation_check,
                                  duporcq_check, real_legs_from_design,
-                                 reality, synth_leg_params, trace,
-                                 _quadratic_roots)
+                                 reality, synth_leg_params, trace)
 
 _I = GaussRat(0, 1)
 
@@ -51,6 +50,48 @@ def _draw_design(kind, rng):
         return synth_leg_params(kind, **params)
     except DegenerateDesignError:
         return None
+
+
+def _leftover_loop(d, samples):
+    """The samples of a Type 5 trace, one np.roots and one residual check
+    per sample and root: (t, coordinates, branch), branch suffix 0 for the
+    larger root (+sqrt of the discriminant, the s3^2 coefficient being
+    positive) and 1 for the smaller."""
+    from pentakin.kinmap import phi_gradient
+    from pentakin.tol import (DEFAULT_TOL, LEFTOVER_RESIDUAL_FLOOR,
+                              LEFTOVER_RESIDUAL_SCALE)
+    a = d._leftover_quadric
+    assert a >= 1
+    red = d.reduction
+    rad2 = 1.0 - to_float(d.w) ** 2
+    t = np.linspace(-math.sqrt(rad2), math.sqrt(rad2), samples)
+    x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
+    cut = max(DEFAULT_TOL * LEFTOVER_RESIDUAL_SCALE, LEFTOVER_RESIDUAL_FLOOR)
+    D = red.Tn[:, 3].real
+    found = {}
+    for tag, x2 in (("a", x2abs), ("b", -x2abs)):
+        P = (red.Tn @ np.array([np.ones_like(t), t, x2,
+                                np.zeros_like(t)])).real
+        b = sum((g * e for g, e in zip(phi_gradient(P)[1], D)),
+                np.zeros_like(t))
+        c = phi_residuals(P)[1]
+        for i in range(len(t)):
+            roots = np.roots([a, b[i], c[i]])
+            if np.iscomplexobj(roots):      # a complex pair
+                continue
+            for j, r in enumerate(sorted(roots, reverse=True)):
+                m = P[:, i] + r * D
+                if np.abs(phi_residuals(m)).max() <= cut:
+                    found[i, tag, j] = (float(t[i]), m, f"{tag}{j}")
+    return [found[k] for k in sorted(found)]
+
+
+def _assert_same_samples(tr, want):
+    # the same (t, branch) list, coordinates within 1e-14 of their scale
+    assert [(s.t, s.branch) for s in tr] == [(t, b) for t, _, b in want]
+    for s, (_, m, _) in zip(tr, want):
+        got = np.array(s.params.coords())
+        assert np.abs(got - m).max() <= 1e-14 * (1 + np.abs(m).max())
 
 
 class TestSynthesis:
@@ -296,6 +337,20 @@ class TestTrace:
         lo, hi = tr.intervals[0]
         assert math.isclose(lo, 0.2 - 2 * math.sqrt(33) / 15, abs_tol=1e-11)
         assert math.isclose(hi, 0.2 + 2 * math.sqrt(33) / 15, abs_tol=1e-11)
+
+    def test_float_parameter_design_traces(self):
+        # a2 = 0.1 + i is exactly 0.1's binary fraction: the branch curve
+        # then has coefficients of hundreds of bits, and its discriminant
+        # twice that, beyond float64's range unless scaled
+        exact, rounded = (
+            synth_leg_params(1, a2=a2, a4=2, m5=(1, 1, 1), r1sq=3)
+            for a2 in (GaussRat(F(1, 10), 1), complex(0.1, 1)))
+        assert reality(rounded).reality is Reality.REAL
+        want, got = trace(exact), trace(rounded)
+        assert len(got.intervals) == len(want.intervals) == 1
+        assert np.allclose(got.intervals[0], want.intervals[0], rtol=0,
+                           atol=1e-6)
+        assert len(got.samples) == 400
 
     def test_reference_leg_lengths_constant(self, type1_reference_design,
                                             type1_reference_pentapod):
@@ -577,64 +632,27 @@ class TestExactStage:
         assert trace(twin, samples=20) == trace(d, samples=20)
         assert len(built) == 2
 
-    def test_batched_roots_are_np_roots(self):
-        # row by row the batch returns np.roots' roots, in its order and
-        # bit for bit, also where a zero coefficient is stripped
-        rng = np.random.default_rng(7)
-        b = rng.normal(size=40)
-        c = rng.normal(size=40)
-        b[3] = c[5] = b[7] = c[7] = 0.0
-        for a in (complex(rng.normal(), rng.normal()), 2.5, 0.0):
-            roots, found = _quadratic_roots(a, b, c)
-            for i in range(len(b)):
-                want = np.roots(np.array([a, b[i], c[i]], dtype=complex))
-                got = roots[i][found[i]]
-                assert got.tolist() == want.tolist()
-        a = rng.normal(size=40)
-        a[[2, 9]] = 0.0
-        roots, found = _quadratic_roots(a, b, c)
-        for i in range(len(b)):
-            want = np.roots(np.array([a[i], b[i], c[i]], dtype=complex))
-            assert roots[i][found[i]].tolist() == want.tolist()
-
     @pytest.mark.parametrize("c5", [0, F(1, 2), F(99, 100)])
     def test_leftover_batch_matches_loop(self, c5):
-        # the batched leftover solve returns what one np.roots and one
-        # residual check per root returned, sample by sample
-        from pentakin.kinmap import MotionParams, phi_gradient
-        from pentakin.tol import (DEFAULT_TOL, LEFTOVER_IMAG_CUT,
-                                  LEFTOVER_RESIDUAL_FLOOR,
-                                  LEFTOVER_RESIDUAL_SCALE)
+        # criterion 10's real designs: the batched closed-form leftover
+        # solve returns what np.roots and a residual check, per sample,
+        # return
         d = synth_leg_params(5, a2=GaussRat(1, 1), a5=1, m5=(1, 1, c5),
                              r1sq=25)
-        a = d._leftover_quadric
-        assert a >= 1
-        red = d.reduction
-        rad2 = 1.0 - to_float(d.w) ** 2
-        t = np.linspace(-math.sqrt(rad2), math.sqrt(rad2), 30)
-        x2abs = np.sqrt(np.maximum(rad2 - t * t, 0.0))
-        tagged = []
-        for tag, x2 in (("a", x2abs), ("b", -x2abs)):
-            P = (red.Tn @ np.array([np.ones_like(t), t, x2,
-                                    np.zeros_like(t)])).real
-            D = red.Tn[:, 3].real
-            b = sum((g * e for g, e in zip(phi_gradient(P)[1], D)),
-                    np.zeros_like(t))
-            c = phi_residuals(P)[1]
-            per_sample = []
-            for i in range(len(t)):
-                sols = []
-                for r in np.roots(np.array([a, b[i], c[i]], dtype=complex)):
-                    if abs(r.imag) > LEFTOVER_IMAG_CUT * (1 + abs(r)):
-                        continue
-                    m = P[:, i] + r.real * D
-                    if np.abs(phi_residuals(m)).max() <= max(
-                            DEFAULT_TOL * LEFTOVER_RESIDUAL_SCALE,
-                            LEFTOVER_RESIDUAL_FLOOR):
-                        sols.append(MotionParams(*m.tolist()))
-                per_sample.append(sols)
-            tagged.append((tag, per_sample))
-        want = [(float(t[i]), m, f"{tag}{j}") for i in range(len(t))
-                for tag, sols in tagged for j, m in enumerate(sols[i])]
-        got = [(s.t, s.params, s.branch) for s in trace(d, samples=30)]
-        assert want and got == want
+        want = _leftover_loop(d, 30)
+        assert want
+        _assert_same_samples(trace(d, samples=30), want)
+
+    def test_leftover_batch_matches_loop_on_draws(self):
+        # the same on seeded designs whose direction circle is real
+        rng = random.Random("leftover-loop")
+        drawn = real = 0
+        while drawn < 40:
+            d = _draw_design(5, rng)
+            if d is None or d.w ** 2 >= 1:
+                continue
+            drawn += 1
+            want = _leftover_loop(d, 50)
+            real += bool(want)
+            _assert_same_samples(trace(d, samples=50), want)
+        assert real
