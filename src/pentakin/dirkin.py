@@ -19,14 +19,14 @@ import sympy as sp
 from .bonds import DependentConstraintsError, necessity_verdict
 from .kinmap import (COORD_NAMES, Leg, MotionParams, Pentapod, displacement,
                      phi_gradient, phi_residuals, sphere_condition)
-from .polyalg import exactify, poly_resultant, real_roots, to_float
+from .polyalg import (exactify, float_image, poly_resultant, real_roots,
+                      to_float)
 from .rearrange import require_member
 from .reduced import first_reduction, first_resultants
 from .tol import (COMPLETION_RESIDUAL, DEFAULT_TOL, DISPLACEMENT_CHECK,
                   IMAG_CUT, NEWTON_STOP, POSE_MERGE, START_CUT)
 
 _XS = sp.symbols("q1 q2 q3")
-_FLOAT_BITS = 1000          # see _to_complex
 
 
 class DirkinError(ValueError):
@@ -125,39 +125,29 @@ def _primitive(poly: sp.Poly) -> sp.Poly:
     return -prim if prim.LC() < 0 else prim
 
 
-def _to_complex(coeffs):
-    """Exact integer coefficients of one polynomial as complex floats.
-    Beyond 2**_FLOAT_BITS, near float64's limit of 2**1024, the list is
-    first divided by one exact power of two: that scales the polynomial and
-    leaves its roots unchanged, where complex(c) would give inf."""
-    bits = max(abs(int(c)).bit_length() for c in coeffs)
-    if bits <= _FLOAT_BITS:
-        return [complex(int(c)) for c in coeffs]
-    return [complex(int(c) / 2 ** bits) for c in coeffs]
-
-
 def _dense(q: sp.Poly):
-    """The coefficients of a quadric as a complex 3x3x3 array indexed by
-    exponents."""
+    """The coefficients of a quadric, scaled by an exact power of two, as a
+    complex 3x3x3 array indexed by exponents."""
     out = np.zeros((3, 3, 3), dtype=complex)
     monos, coeffs = zip(*q.terms())
-    for mono, c in zip(monos, _to_complex(coeffs)):
+    for mono, c in zip(monos, float_image(coeffs)):
         out[mono] = c
     return out
 
 
 def _member_at(S: sp.Poly, r: float):
     """The coefficients, highest degree first, of S in its first generator
-    with the second at r, as complex floats.  They are evaluated exactly, as
-    the integers d**D S(., n/d) for r = n/d: near a close pair of roots a
-    subresultant's coefficients cancel heavily, and float evaluation loses
-    the root."""
+    with the second at r, scaled by an exact power of two, as complex
+    floats.  They are evaluated exactly, as the integers d**D S(., n/d) for
+    r = n/d: near a close pair of roots a subresultant's coefficients
+    cancel heavily, and float evaluation loses the root.  The complex dtype
+    keeps np.roots on its complex eigenvalue path."""
     n, d = r.as_integer_ratio()
     rows = S.rep.to_list()
     D = max(len(row) for row in rows)
     pw = [n ** k * d ** (D - 1 - k) for k in range(D)]
-    return _to_complex([sum(c * p for c, p in zip(reversed(row), pw))
-                        for row in rows])
+    return float_image([sum(c * p for c, p in zip(reversed(row), pw))
+                        for row in rows]).astype(complex)
 
 
 def _in_first(coeffs, *values):
@@ -221,9 +211,9 @@ def _scaled_residual(vals):
 
 
 def _polish(red, point, steps: int = 30):
-    """Damped least-squares Newton on the three reduced quadrics from a
-    point (s1, s2, s3), in float64: the last iterate, which has the least
-    residual."""
+    """Least-squares Newton on the three reduced quadrics from a point
+    (s1, s2, s3), in float64: full steps while each lowers the residual,
+    so the last iterate has the least."""
     T = red.Tn
 
     def F_(v):
@@ -237,18 +227,13 @@ def _polish(red, point, steps: int = 30):
             break
         J = np.array(phi_gradient(T @ np.r_[1, x]), dtype=complex) @ T[:, 1:]
         try:
-            dx = np.linalg.lstsq(J, fx, rcond=None)[0]
+            cand = x - np.linalg.lstsq(J, fx, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        # damped steps guard against overshooting near root collisions
-        for lam in (1.0, 0.5, 0.25):
-            cand = x - lam * dx
-            fc = F_(cand)
-            if np.abs(fc).max() < r:
-                x, fx, r = cand, fc, np.abs(fc).max()
-                break
-        else:
+        fc = F_(cand)
+        if not np.abs(fc).max() < r:
             break
+        x, fx, r = cand, fc, np.abs(fc).max()
     return x
 
 

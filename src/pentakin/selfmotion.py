@@ -22,11 +22,12 @@ import sympy as sp
 from .archsing import WrongBranchError, _cross, _dot, _plane_frame, _sub
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
                      phi_gradient, phi_residuals)
-from .polyalg import GaussRat, exactify, mat_solve_general, to_float
+from .polyalg import (GaussRat, exactify, float_image, mat_solve_general,
+                      to_float)
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
 from .reduced import Reduction, first_reduction, first_resultants, polarise
-from .tol import (CELL_MERGE, DEFAULT_TOL, LEFTOVER_RESIDUAL_FLOOR,
+from .tol import (DEFAULT_TOL, LEFTOVER_RESIDUAL_FLOOR,
                   LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
                   SAMPLE_RESIDUAL_SCALE)
 
@@ -155,11 +156,11 @@ class SelfMotionDesign:
         # (and disc twice as many); an exact power of two leaves the roots
         # and every float's mantissa as they were
         bits = max(abs(int(c)).bit_length() for c in g.coeffs())
-        coeffs = tuple(_float_coeffs(p, k * bits) for p, k in
+        coeffs = tuple(float_image(p.all_coeffs(), k * bits) for p, k in
                        ((c2, 1), (c1, 1), (c0, 1), (disc, 2)))
         for c in coeffs:
             c.flags.writeable = False   # shared by every later trace
-        intervals, rts = _real_intervals(disc, coeffs[3])
+        intervals, rts = _real_intervals(disc)
         return coeffs, tuple(intervals), tuple(rts)
 
     @cached_property
@@ -437,11 +438,6 @@ def trace(design: SelfMotionDesign, samples: int = 200,
 _S = sp.symbols("s1 s2 s3")
 
 
-def _float_coeffs(p: sp.Poly, bits):
-    """The coefficients of p divided by 2**bits, as floats."""
-    return np.array([complex(c / 2 ** bits).real for c in p.all_coeffs()])
-
-
 def _trace_type12(design, samples, tol):
     # s1, s2, s3 = x1, x2, x3; parameter t = x3, branches in x2
     coeffs, intervals, rts = design._branch_curve
@@ -501,31 +497,24 @@ def _complete_samples(red, x2, x3, tol):
     return np.where(minus, cands[1], cands[0]), ok[0] | ok[1]
 
 
-def _real_intervals(disc: sp.Poly, coeffs):
+def _real_intervals(disc: sp.Poly):
     """Intervals where the branch discriminant is nonnegative, and its
-    isolated real roots; `coeffs` are its float coefficients.  A constant
-    discriminant gives [-1, 1] when nonnegative; it is identically zero
-    when the two branches coincide."""
+    isolated real roots.  Right of the last root the sign is that of the
+    leading coefficient, and it flips across each root of odd multiplicity
+    only, so the intervals end at odd roots; the outer ends lie one unit
+    beyond the outermost roots.  A constant discriminant gives [-1, 1]
+    when nonnegative; it is identically zero when the two branches
+    coincide."""
     from .polyalg import real_roots
     if disc.degree() <= 0:
         return ([(-1.0, 1.0)] if disc.LC() >= 0 else []), []
-    rts = sorted(r for r, _ in real_roots(disc))
-    bounds = [rts[0] - 1.0] + rts + [rts[-1] + 1.0] if rts else [-1.0, 1.0]
-    return _merge_cells([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-                         if np.polyval(coeffs, 0.5 * (lo + hi)) >= 0]), rts
-
-
-def _merge_cells(cells):
-    if not cells:
-        return []
-    cells.sort()
-    merged = [list(cells[0])]
-    for lo, hi in cells[1:]:
-        if lo <= merged[-1][1] + CELL_MERGE:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [tuple(c) for c in merged]
+    roots = real_roots(disc)
+    rts = [r for r, _ in roots]
+    bounds = ([rts[0] - 1.0] + [r for r, k in roots if k % 2]
+              + [rts[-1] + 1.0] if rts else [-1.0, 1.0])
+    cells = list(zip(bounds[:-1], bounds[1:]))
+    # the signs of the cells alternate, the last one's is the leading sign
+    return cells[(len(cells) - (1 if disc.LC() > 0 else 2)) % 2::2], rts
 
 
 def _trace_type5(design, samples, tol):

@@ -7,9 +7,10 @@ back-substitution, the float64 Newton polish and the cut between real
 and complex poses; there a residual is the largest quadric residual of a
 configuration x divided by 1 + |x|^2, so every threshold is relative to
 the scale of the point.  In self-motion tracing: the per-sample
-completions of the configuration curve (a root of one of its quadratics
-is real where the discriminant is >= 0, with no tolerance) and the
-circular-translation direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
+completions of the configuration curve (its Type 1/2 cells are signed by
+the exact roots of the branch discriminant, and a root of one of its
+quadratics is real where the discriminant is >= 0, with no tolerance) and
+the circular-translation direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
 In the geometric predicates and root isolation: float inputs only.  EPS
 is float64's machine epsilon, 2.2e-16.
 """
@@ -57,12 +58,6 @@ DISPLACEMENT_CHECK = 1e-6
 # ---------------------------------------------------------------------------
 # self-motion tracing and circular translation
 # ---------------------------------------------------------------------------
-
-#: Two real intervals of a Type 1/2 branch discriminant are one when the gap
-#: between them is at most this.  Neighbouring cells share one float root
-#: as their bound, so their gap is exactly 0; the slack, a few thousand EPS
-#: at |t| <= 1, only absorbs round-off.
-CELL_MERGE = 1e-12
 
 #: A Type 1/2 sample is kept when its largest quadric residual is at most
 #: this many times the caller's tol: x2 comes from the quadratic formula and

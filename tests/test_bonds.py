@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -280,6 +281,9 @@ _DESIGNS = ("ar_planar_pentapod", "congruent_projection_pentapod",
             "finite_vertex_pentapod", "type3_pentapod", "type4_pentapod",
             "type5_parallel_lines_pentapod", "three_real_darboux_pentapod",
             "cylinder1", "cylinder2", "cylinder5", "type1-reference")
+# seeded random members of the working class, generic and planar
+_MEMBERS = ("generic-0", "generic-1", "generic-2", "planar-0", "planar-1",
+            "planar-2")
 
 
 class TestInvariance:
@@ -292,12 +296,15 @@ class TestInvariance:
         return (sorted((b.multiplicity, b.exact) for b in v.bonds),
                 v.jacobian_rank, max_real_solutions(p))
 
-    @pytest.mark.parametrize("name", _DESIGNS)
+    @pytest.mark.parametrize("name", _DESIGNS + _MEMBERS)
     def test_bond_answers(self, name, type1_reference_pentapod):
         if name == "type1-reference":
             p = type1_reference_pentapod
         elif name.startswith("cylinder"):
             p = cylinder_only_pentapod(int(name[-1]))
+        elif name in _MEMBERS:
+            p = random_member(random.Random(f"bond-invariance-{name}"),
+                              planar=name.startswith("planar"))
         else:
             p = getattr(helpers, name)()
         want = self._answer(p)

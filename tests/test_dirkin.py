@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from conftest import rand_frac, random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, finite_vertex_pentapod,
@@ -408,12 +409,21 @@ class TestInvariance:
 
     @pytest.mark.parametrize("design", [
         "generic-0", "generic-1", "generic-2", "generic-3", "planar-0",
-        "planar-1", "type1-reference"])
+        "planar-1", "type1-reference", "ar_planar_pentapod",
+        "congruent_projection_pentapod", "stretched_fiber_pentapod",
+        "ideal_vertex_pentapod", "finite_vertex_pentapod", "type3_pentapod",
+        "type4_pentapod", "type5_parallel_lines_pentapod",
+        "three_real_darboux_pentapod", "cylinder1", "cylinder2",
+        "cylinder5"])
     def test_poses_follow_the_transform(self, design,
                                         type1_reference_pentapod):
         rng = random.Random(f"dk-invariance-{design}")
         if design == "type1-reference":
             p = type1_reference_pentapod
+        elif design.startswith("cylinder"):
+            p = cylinder_only_pentapod(int(design[-1]))
+        elif design.endswith("_pentapod"):
+            p = getattr(helpers, design)()
         else:
             p = random_member(rng, planar=design.startswith("planar"))
         lengths2 = forward_lengths2(p, lift_study(random_study(rng)))

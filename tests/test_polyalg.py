@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentakin.polyalg import (GaussRat, PolyalgError, _rounded_root,
-                              echelon_solve, exactify, mat_det, mat_nullspace,
+                              echelon_solve, exactify, float_image, mat_det,
+                              mat_nullspace,
                               mat_rank, mat_solve_general, numeric_rank,
                               poly_resultant, real_roots, resultant, to_sympy)
 
@@ -197,6 +198,30 @@ class TestPolyResultant:
         # Res(x^n - 1, x^n - 2) = (-1)^n; det(Bezout) = (-1)^(n(n-1)/2) Res
         P, Q = sp.Poly(x ** n - 1, x, b), sp.Poly(x ** n - 2, x, b)
         assert poly_resultant(P, Q)[0].as_expr() == (-1) ** n
+
+
+class TestFloatImage:
+
+    def test_correctly_rounded(self):
+        # a 77-bit integer whose float through sympy's evalf is one ulp
+        # off; int / int rounds once
+        big = -161327161581678777028608
+        assert float_image([big], 78)[0].hex() == "-0x1.114c80edb4d0dp-1"
+        assert float_image([big, 1], 78).tolist() == [big / 2 ** 78,
+                                                      2.0 ** -78]
+
+    def test_default_scale_is_the_largest_bit_length(self):
+        assert float_image([6, -3, 0]).tolist() == [0.75, -0.375, 0.0]
+        assert float_image([sp.Integer(1)]).tolist() == [0.5]
+        assert float_image([0, 0]).tolist() == [0.0, 0.0]
+
+    def test_finite_beyond_float_range(self):
+        # 2000-bit integers overflow float(c); scaled, each is below 1
+        bits = (3 ** 1300).bit_length()
+        out = float_image([3 ** 1300, -(3 ** 1299), 1])
+        assert out.tolist() == [3 ** 1300 / 2 ** bits,
+                                -(3 ** 1299) / 2 ** bits, 0.0]
+        assert abs(out).max() < 1
 
 
 class TestRealRoots:

@@ -656,3 +656,70 @@ class TestExactStage:
             real += bool(want)
             _assert_same_samples(trace(d, samples=50), want)
         assert real
+
+    def test_disc_coefficients_correctly_rounded(self):
+        # the x3^2 coefficient of this design's branch discriminant is
+        # -161327161581678777028608, scaled by 2**78 (twice g's 39 bits);
+        # its float is the correctly rounded quotient
+        d = synth_leg_params(1, a2=GaussRat(F(-2, 3), F(3, 2)), a4=F(-1, 2),
+                             m5=(F(3, 2), 2, F(1, 2)), r1sq=4)
+        disc = d._branch_curve[0][3]
+        assert disc[2] == -161327161581678777028608 / 2 ** 78
+        assert disc[2].hex() == "-0x1.114c80edb4d0dp-1"
+
+
+_X = sp.Symbol("x")
+
+
+class TestRealIntervals:
+    """The cells of a branch discriminant are signed by its exact roots:
+    the leading sign right of the last root, flipped across odd roots."""
+
+    @staticmethod
+    def _intervals(expr):
+        from pentakin.selfmotion import _real_intervals
+        return _real_intervals(sp.Poly(expr, _X))
+
+    def test_even_root_inside_an_interval(self):
+        # x^2 (x - 1)(x - 2) >= 0 on both sides of its double root 0
+        cells, rts = self._intervals(_X ** 2 * (_X - 1) * (_X - 2))
+        assert cells == [(-1.0, 1.0), (2.0, 3.0)]
+        assert rts == [0.0, 1.0, 2.0]
+
+    def test_even_root_between_negative_cells(self):
+        # (2x - 1)^2 (x^2 - 4): negative on both sides of 1/2
+        cells, rts = self._intervals((2 * _X - 1) ** 2 * (_X ** 2 - 4))
+        assert cells == [(-3.0, -2.0), (2.0, 3.0)]
+        assert rts == [-2.0, 0.5, 2.0]
+
+    @pytest.mark.parametrize("expr, want", [
+        (1 - _X ** 2, [(-1.0, 1.0)]),
+        (_X ** 3 - _X, [(-1.0, 0.0), (1.0, 2.0)]),
+        (-_X ** 3 + _X, [(-2.0, -1.0), (0.0, 1.0)]),
+    ])
+    def test_odd_roots_bound_intervals(self, expr, want):
+        assert self._intervals(expr)[0] == want
+
+    @pytest.mark.parametrize("expr, want", [
+        (sp.Integer(3), [(-1.0, 1.0)]), (sp.Integer(0), [(-1.0, 1.0)]),
+        (sp.Integer(-2), []), (_X ** 2 + 1, [(-1.0, 1.0)]),
+        (-_X ** 2 - 1, []),
+    ])
+    def test_no_real_root(self, expr, want):
+        assert self._intervals(expr) == (want, [])
+
+    def test_cells_have_the_exact_sign(self):
+        # on seeded integer polynomials with repeated roots, each interval
+        # is a cell of the real line cut at the roots where the exact
+        # polynomial is positive, and every positive cell is covered
+        rng = random.Random("real-intervals")
+        for _ in range(40):
+            factors = [(_X - rng.randint(-4, 4)) ** rng.randint(1, 3)
+                       for _ in range(rng.randint(1, 3))]
+            p = sp.Poly(sp.Mul(rng.choice([-1, 1]), *factors,
+                               _X ** 2 + rng.randint(0, 2)), _X)
+            cells, rts = self._intervals(p.as_expr())
+            bounds = [rts[0] - 1] + rts + [rts[-1] + 1]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                inside = [c for c in cells if c[0] <= lo and hi <= c[1]]
+                assert len(inside) == bool(p.eval(sp.Rational(lo + hi) / 2) > 0)
