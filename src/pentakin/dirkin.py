@@ -67,12 +67,14 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
     quadrics' coefficients in the first coordinate gives that one, and one
     Newton polish and the residual filter give the solutions.
 
-    The elimination runs once, in the order (q1, q2, q3).  A finite
-    solution's q3 is a root of every pairwise resultant, hence of their
-    gcd, so the eliminant is constant only where no finite solution
-    exists, or where the first resultants share a factor, as a curve of
-    solutions (a self-motion) makes them do in every order; both raise
-    DirkinError.
+    The elimination runs once, in the order (q1, q2, q3).  Where Q2 and
+    Q3 are free of q1, their first resultant would be the constant 1, so
+    they take the place of the first resultants, and Q1 gives q1.  A
+    finite solution's q3 is a root of every pairwise resultant, hence of
+    their gcd, so the eliminant is constant only where no finite solution
+    exists, or where the polynomials it eliminates share a factor, as a
+    curve of solutions (a self-motion) makes them do in every order; both
+    raise DirkinError.
 
     With float (not exact) squared lengths, a pose that coincides with its
     mirror image can come back as several poses about sqrt(EPS) apart, or
@@ -86,7 +88,10 @@ def solve_dk(p: Pentapod, lengths=None, lengths2=None,
             "sphere hyperplanes are linearly dependent: architecturally "
             "singular geometry")
     quads = red.quadrics(_XS)
-    elim, chains = _eliminate_cascade(first_resultants(quads))
+    free = all(q.degree(_XS[0]) <= 0 for q in quads[1:])
+    elim, chains = _eliminate_cascade(
+        [sp.Poly(q.as_expr(), *_XS[1:]) for q in quads[1:]] if free
+        else first_resultants(quads))
     if elim is None or elim.degree() <= 0:
         raise DirkinError("elimination collapsed; degenerate geometry")
     elim = _primitive(elim)

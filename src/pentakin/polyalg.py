@@ -216,14 +216,13 @@ def to_float(x) -> float:
     return float(x)
 
 
-def float_image(ints, bits=None) -> np.ndarray:
-    """The exact integers `ints` divided by 2**bits, as floats: each is
-    int(c) / 2**bits, correctly rounded, and finite for any size of c when
-    bits is at least the largest bit length of the integers, its default.
-    A list of coefficients so scaled has the roots it had."""
+def float_image(ints) -> np.ndarray:
+    """The exact integers `ints` divided by 2**bits, bits the largest bit
+    length among them, as floats: each is int(c) / 2**bits, correctly
+    rounded and finite for any size of c.  A list of coefficients so
+    scaled has the roots it had."""
     ints = [int(c) for c in ints]
-    if bits is None:
-        bits = max(abs(c).bit_length() for c in ints)
+    bits = max(abs(c).bit_length() for c in ints)
     return np.array([c / 2 ** bits for c in ints])
 
 

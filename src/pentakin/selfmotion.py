@@ -22,11 +22,11 @@ import sympy as sp
 from .archsing import WrongBranchError, _cross, _dot, _plane_frame, _sub
 from .kinmap import (ConstraintHyperplane, Leg, MotionParams, Pentapod,
                      phi_gradient, phi_residuals)
-from .polyalg import (GaussRat, exactify, float_image, mat_solve_general,
+from .polyalg import (GaussRat, exactify, mat_solve_general, real_roots,
                       to_float)
 from .rearrange import (CubicCorrespondence, cubic_kind, replacement_cubic,
                         require_member, _exceptional_points)
-from .reduced import Reduction, first_reduction, first_resultants, polarise
+from .reduced import Reduction, first_reduction, polarise
 from .tol import (DEFAULT_TOL, LEFTOVER_RESIDUAL_FLOOR,
                   LEFTOVER_RESIDUAL_SCALE, LEG_VECTOR_ZERO,
                   SAMPLE_RESIDUAL_SCALE)
@@ -139,29 +139,38 @@ class SelfMotionDesign:
 
     @cached_property
     def _branch_curve(self):
-        """Types 1/2: the two-branch curve g(x2, x3) = c2 x2^2 + c1 x2 + c0,
-        the gcd of the first resultants of the reduced quadrics.  Returns
-        the float coefficient arrays in x3 of (c2, c1, c0, disc), disc the
-        branch discriminant, with the intervals where disc >= 0 and its
-        isolated real roots."""
-        xi1, xi2, xi3 = first_resultants(self.reduction.quadrics(_S))
-        g = xi1.gcd(xi2).gcd(xi3)
-        if g.degree() != 2:
+        """Types 1/2: the self-motion as the line L = alpha s1 + beta s2 +
+        gamma(s3) = 0 on the sphere Q1 = s1^2 + s2^2 + s3^2 - 1.  The
+        Darboux rows give y1 - i y2 = -(p2 x0 + a2 (x1 - i x2)), so Q2 and
+        Q3 hold s1 and s2 quadratically only through s1^2 + s2^2, and each,
+        less its s1^2 coefficient times Q1, is affine in (s1, s2); the design
+        closes iff the two are proportional and not both zero (on the
+        special branch the first is zero).  L is signed so that alpha > 0,
+        or alpha = 0 < beta, and divided exactly by its largest coefficient,
+        so its floats are finite for any design.  Returns those floats
+        (alpha, beta, then gamma's, highest degree first), the intervals of
+        s3 where disc = (alpha^2 + beta^2)(1 - s3^2) - gamma^2 >= 0, and the
+        real roots of the exact disc."""
+        q1, q2, q3 = polarise(self.reduction.T, phi_residuals, range(4))
+        L = _one_relation(*({m: q[m] - q[_S1SQ] * q1[m] for m in q1}
+                            for q in (q2, q3)))
+        if L is None:
             raise NotASelfMotionError(
-                "the reduced system does not contain the two-branch curve")
-        c2, c1, c0 = _coeffs_in_first(g)
-        disc = c1 * c1 - 4 * c2 * c0
-        # g divided by 2**bits, its coefficients' bound, has finite float
-        # coefficients also where float parameters give g hundreds of bits
-        # (and disc twice as many); an exact power of two leaves the roots
-        # and every float's mantissa as they were
-        bits = max(abs(int(c)).bit_length() for c in g.coeffs())
-        coeffs = tuple(float_image(p.all_coeffs(), k * bits) for p, k in
-                       ((c2, 1), (c1, 1), (c0, 1), (disc, 2)))
-        for c in coeffs:
-            c.flags.writeable = False   # shared by every later trace
+                "the reduced system has no curve: Q2 and Q3 leave no single "
+                "relation on the sphere")
+        alpha, beta, *gamma = (L[m] for m in _LINE)
+        if alpha == beta == 0:
+            raise NotASelfMotionError(
+                "the Mannheim point lies on the axis (alpha = beta = 0): the "
+                "relation is free of x1 and x2, and its circles about the "
+                "axis are not traced")
+        scale = (max(abs(c) for c in (alpha, beta, *gamma))
+                 * (1 if (alpha, beta) > (0, 0) else -1))
+        line = [c / scale for c in (alpha, beta, *gamma)]
+        gam = sp.Poly(line[2:], _T, domain=sp.QQ)
+        disc = (line[0] ** 2 + line[1] ** 2) * sp.Poly(1 - _T ** 2) - gam ** 2
         intervals, rts = _real_intervals(disc)
-        return coeffs, tuple(intervals), tuple(rts)
+        return tuple(map(to_float, line)), tuple(intervals), tuple(rts)
 
     @cached_property
     def _leftover_quadric(self):
@@ -175,13 +184,29 @@ class SelfMotionDesign:
         + y3^2 - 8 x0 n0 the s3^2 coefficient is 1 + T[y1][3]^2 +
         T[y2][3]^2 >= 1, T being rational."""
         q1, q2, q3 = polarise(self.reduction.T, phi_residuals, range(4))
-        # Q1 holds x1^2 (x1 is free), so `lead` exists, and Q3 = c Q1 iff
-        # each q3[m] q1[lead] equals q1[m] q3[lead]
-        lead = next(m for m, c in q1.items() if c)
-        if any(q3[m] * q1[lead] != q1[m] * q3[lead] for m in q1):
+        # Q1 holds x1^2 (x1 is free), so it is nonzero
+        if _one_relation(q1, q3) is None:
             raise NotASelfMotionError(
                 "the reduced system has no curve: Q3 is not a multiple of Q1")
         return to_float(q2[(0, 0, 0, 2)])
+
+
+# monomials of the reduced quadrics over (x0, s1, s2, s3): s1^2, and the
+# terms s1, s2, s3^2, s3, 1 (x0 = 1) of a Type 1/2 relation
+_S1SQ = (0, 2, 0, 0)
+_LINE = ((1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 2), (1, 0, 0, 1), (2, 0, 0, 0))
+_T = sp.Symbol("t")
+
+
+def _one_relation(p, q):
+    """The nonzero one of two quadrics, p where both are, when the two are
+    proportional; None when they are not, or both are zero.  Each maps the
+    same monomials to exact coefficients."""
+    r, s = (p, q) if any(p.values()) else (q, p)
+    lead = next((m for m, c in r.items() if c), None)
+    if lead is None or any(s[m] * r[lead] != r[m] * s[lead] for m in r):
+        return None
+    return r
 
 
 def synth_leg_params(design_type: int, *, a2, a4=None, a5=None, m5,
@@ -377,8 +402,9 @@ def reality(design) -> RealityVerdict:
 
     Planar affine-relation pentapods use the fiber-distance criterion.  A
     design of any type is real iff its configuration curve has real
-    points, read off a 16-sample trace; an arc narrower than the sample
-    spacing can be missed.
+    points, read off a 16-sample trace.  A Type 1/2 trace samples every
+    exact cell of x3, its ends included, so only a Type 5 arc narrower
+    than the sample spacing can be missed.
     """
     if isinstance(design, Pentapod):
         out = circular_translation_check(design)
@@ -423,39 +449,43 @@ def trace(design: SelfMotionDesign, samples: int = 200,
     """Sample the configuration curve of a valid design.
 
     The design's exact stage (its `reduction` of the five linear
-    constraints, and the branch curve or the leftover quadric read off the
-    reduced quadrics) runs once per design instance; every call then
-    evaluates both branches over the real parameter interval(s) in NumPy.
-    Returns an empty sample list flagged complex when no real branch
-    exists; raises NotASelfMotionError when the reduced system leaves no
-    curve.
+    constraints, and the Type 1/2 line on the sphere or the Type 5
+    leftover quadric read off the reduced quadrics) runs once per design
+    instance; every call then evaluates both branches over the real
+    parameter interval(s) in NumPy.  Returns an empty sample list flagged
+    complex when no real branch exists; raises NotASelfMotionError when
+    the reduced system leaves no curve, or only the circles of a Mannheim
+    point on the axis.
     """
     if design.type in (1, 2):
         return _trace_type12(design, samples, tol)
     return _trace_type5(design, samples, tol)
 
 
-_S = sp.symbols("s1 s2 s3")
-
-
 def _trace_type12(design, samples, tol):
-    # s1, s2, s3 = x1, x2, x3; parameter t = x3, branches in x2
-    coeffs, intervals, rts = design._branch_curve
+    # s1, s2, s3 = x1, x2, x3 and t = x3: the branches are the two points
+    # where the line alpha s1 + beta s2 + gamma(t) = 0 meets the circle
+    # s1^2 + s2^2 = 1 - t^2, upper with the larger x2 (with x1 the smaller
+    # where alpha = 0)
+    (alpha, beta, *gamma), intervals, rts = design._branch_curve
     if not intervals:
         return TraceResult((), False, (), "x3")
     t = np.concatenate([np.linspace(lo, hi, max(2, samples))
                         for lo, hi in intervals])
-    c2v, c1v, c0v, dv = (np.polyval(c, t) for c in coeffs)
-    # at an isolated root the discriminant is zero, not its rounding residue
+    n = alpha * alpha + beta * beta
+    g = np.polyval(gamma, t)
+    # every t lies in an exact cell, where disc >= 0; at an isolated root
+    # it is zero, not its rounding residue
+    dv = n * (1.0 - t * t) - g * g
     dv[np.isin(t, rts)] = 0.0
-    keep = (dv >= 0) & (c2v != 0)
     root = np.sqrt(np.maximum(dv, 0.0))
-    den = np.where(keep, 2 * c2v, 1.0)
     out = []
     for sign, branch in ((1.0, "upper"), (-1.0, "lower")):
-        m, ok = _complete_samples(design.reduction,
-                                  (-c1v + sign * root) / den, t, tol)
-        out.append((branch, m, ok & keep))
+        s1 = (-alpha * g - sign * beta * root) / n
+        s2 = (-beta * g + sign * alpha * root) / n
+        m = design.reduction.Tn @ np.array([np.ones_like(t), s1, s2, t])
+        err = np.abs(phi_residuals(m)).max(axis=0)
+        out.append((branch, m, err <= tol * SAMPLE_RESIDUAL_SCALE))
     kept = _curve_samples(t, out)
     return TraceResult(kept, bool(kept), intervals, "x3")
 
@@ -470,51 +500,14 @@ def _curve_samples(t, branches):
                  for name, m, ok in cols if ok[i])
 
 
-def _coeffs_in_first(p: sp.Poly):
-    """The coefficients of p in its first generator, highest degree first,
-    as sp.Poly in the other generators."""
-    n = max(p.degree(), 0)
-    parts = [{} for _ in range(n + 1)]
-    for mono, c in p.terms():
-        parts[n - mono[0]][mono[1:]] = c
-    return [sp.Poly.from_dict(d, *p.gens[1:], domain=p.domain)
-            for d in parts]
-
-
-def _complete_samples(red, x2, x3, tol):
-    """Solve x1^2 + x2^2 + x3^2 = 1 for x1 at every sample and build the
-    motion parameters (9 x N).  Of the two signs of x1 the one with the
-    smaller quadric residual is kept; the mask marks samples where one
-    passes."""
-    rad = 1.0 - x2 * x2 - x3 * x3
-    x1 = np.sqrt(np.maximum(rad, 0.0))
-    cands = [(red.Tn @ np.array([np.ones_like(x3), sign * x1, x2, x3])).real
-             for sign in (1.0, -1.0)]
-    errs = [np.abs(phi_residuals(m)).max(axis=0) for m in cands]
-    ok = [(err <= tol * SAMPLE_RESIDUAL_SCALE) & (rad >= -tol)
-          for err in errs]
-    minus = ok[1] & (~ok[0] | (errs[1] < errs[0]))
-    return np.where(minus, cands[1], cands[0]), ok[0] | ok[1]
-
-
 def _real_intervals(disc: sp.Poly):
     """Intervals where the branch discriminant is nonnegative, and its
-    isolated real roots.  Right of the last root the sign is that of the
-    leading coefficient, and it flips across each root of odd multiplicity
-    only, so the intervals end at odd roots; the outer ends lie one unit
-    beyond the outermost roots.  A constant discriminant gives [-1, 1]
-    when nonnegative; it is identically zero when the two branches
-    coincide."""
-    from .polyalg import real_roots
-    if disc.degree() <= 0:
-        return ([(-1.0, 1.0)] if disc.LC() >= 0 else []), []
+    isolated real roots.  The discriminant is negative at both infinities,
+    and its sign flips across each root of odd multiplicity only, so the
+    intervals are consecutive pairs of odd roots."""
     roots = real_roots(disc)
-    rts = [r for r, _ in roots]
-    bounds = ([rts[0] - 1.0] + [r for r, k in roots if k % 2]
-              + [rts[-1] + 1.0] if rts else [-1.0, 1.0])
-    cells = list(zip(bounds[:-1], bounds[1:]))
-    # the signs of the cells alternate, the last one's is the leading sign
-    return cells[(len(cells) - (1 if disc.LC() > 0 else 2)) % 2::2], rts
+    odd = [r for r, k in roots if k % 2]
+    return list(zip(odd[::2], odd[1::2])), [r for r, _ in roots]
 
 
 def _trace_type5(design, samples, tol):

@@ -7,10 +7,11 @@ back-substitution, the float64 Newton polish and the cut between real
 and complex poses; there a residual is the largest quadric residual of a
 configuration x divided by 1 + |x|^2, so every threshold is relative to
 the scale of the point.  In self-motion tracing: the per-sample
-completions of the configuration curve (its Type 1/2 cells are signed by
-the exact roots of the branch discriminant, and a root of one of its
-quadratics is real where the discriminant is >= 0, with no tolerance) and
-the circular-translation direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
+completions of the configuration curve (its Type 1/2 cells, where the
+branch discriminant is >= 0, are signed by that discriminant's exact
+roots, and a Type 5 root of the leftover quadratic is real where its
+discriminant is >= 0, with no tolerance) and the circular-translation
+direction.  In the bond solve: the numeric roots of bonds outside QQ(i).
 In the geometric predicates and root isolation: float inputs only.  EPS
 is float64's machine epsilon, 2.2e-16.
 """
@@ -60,9 +61,10 @@ DISPLACEMENT_CHECK = 1e-6
 # ---------------------------------------------------------------------------
 
 #: A Type 1/2 sample is kept when its largest quadric residual is at most
-#: this many times the caller's tol: x2 comes from the quadratic formula and
-#: x1 from a square root, each of which loses up to sqrt(EPS) next to a
-#: branch point, so the filter sits one order above the tol.
+#: this many times the caller's tol.  Its (x1, x2) lies on the curve's line
+#: and circle to round-off (next to a cell end, the square root loses up to
+#: sqrt(EPS) along the curve, not off it), so the residual carries the
+#: round-off of the float map T; the filter sits one order above the tol.
 SAMPLE_RESIDUAL_SCALE = 10
 
 #: A Type 5 configuration is kept when its largest quadric residual is at

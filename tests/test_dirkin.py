@@ -9,7 +9,7 @@ from conftest import rand_frac, random_member
 from helpers import (ar_planar_pentapod, congruent_projection_pentapod,
                      cylinder_only_pentapod, finite_vertex_pentapod,
                      ideal_vertex_pentapod, moved, moved_point,
-                     platform_shifted, relabelled,
+                     platform_shifted, relabelled, type4_pentapod,
                      type5_parallel_lines_pentapod)
 from pentakin import dirkin
 from pentakin.bonds import DependentConstraintsError
@@ -156,6 +156,20 @@ class TestSolveDK:
             for got, want in zip(s.lengths, lengths2):
                 assert abs(got * got - want) <= 1e-9 * (1 + want)
         assert recovers(out, [to_float(c) for c in m.normalized().coords()])
+
+    def test_two_quadrics_free_of_the_first_coordinate(self):
+        # on the pivots n0, y0..y3, Q2 and Q3 of this pose are free of q1,
+        # so their resultant in q1 is the constant 1: they are eliminated
+        # themselves, and Q1 gives q1, the pose and its mirror x1 -> -x1
+        p = type4_pentapod()
+        pose = (F(7, 4), 1, F(3, 7), F(-6, 7), F(-2, 7), F(19, 7), -1, -3,
+                -2)
+        out = solve_dk(p, lengths2=forward_lengths2(p, MotionParams(*pose)))
+        assert out.pivots == ("n0", "y0", "y1", "y2", "y3")
+        assert out.degree == 4 and len(out.solutions) == 2
+        assert recovers(out, pose)
+        assert recovers(out, (F(7, 4), 1, F(-3, 7), F(-6, 7), F(-2, 7),
+                              F(25, 7), -1, -3, -2))
 
     def test_parallel_lines_pose(self):
         # degree 6 is the bound for a design with a bond

@@ -203,12 +203,12 @@ class TestPolyResultant:
 class TestFloatImage:
 
     def test_correctly_rounded(self):
-        # a 77-bit integer whose float through sympy's evalf is one ulp
+        # a 78-bit integer whose float through sympy's evalf is one ulp
         # off; int / int rounds once
         big = -161327161581678777028608
-        assert float_image([big], 78)[0].hex() == "-0x1.114c80edb4d0dp-1"
-        assert float_image([big, 1], 78).tolist() == [big / 2 ** 78,
-                                                      2.0 ** -78]
+        assert abs(big).bit_length() == 78
+        assert float_image([big])[0].hex() == "-0x1.114c80edb4d0dp-1"
+        assert float_image([big, 1]).tolist() == [big / 2 ** 78, 2.0 ** -78]
 
     def test_default_scale_is_the_largest_bit_length(self):
         assert float_image([6, -3, 0]).tolist() == [0.75, -0.375, 0.0]

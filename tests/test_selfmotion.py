@@ -94,6 +94,25 @@ def _assert_same_samples(tr, want):
         assert np.abs(got - m).max() <= 1e-14 * (1 + np.abs(m).max())
 
 
+def _assert_on_curve(d, tr):
+    # the five constraints and the three quadrics hold within 1e-12 of the
+    # scale 1 + max|coord| (its square for the quadrics); a (t, params)
+    # pair repeats only at a cell end, where both branches meet
+    rows = [[complex(to_float(c.re), to_float(c.im))
+             if isinstance(c, GaussRat) else to_float(c) for c in hp.coeffs]
+            for hp in d.constraints()]
+    ends = {t for cell in tr.intervals for t in cell}
+    seen = set()
+    for s in tr.samples:
+        m = np.array(s.params.coords())
+        scale = 1 + np.abs(m).max()
+        assert np.abs(phi_residuals(m)).max() <= 1e-12 * scale ** 2
+        assert np.abs(np.array(rows) @ m).max() <= 1e-12 * scale
+        key = (s.t, s.params)
+        assert key not in seen or s.t in ends
+        seen.add(key)
+
+
 class TestSynthesis:
 
     def test_type1_reference_values(self, type1_reference_design):
@@ -306,12 +325,7 @@ class TestReality:
         assert RealityVerdict(Reality.REAL, "empirical") \
             != RealityVerdict(Reality.COMPLEX, "empirical")
 
-    @pytest.mark.parametrize("kind", [1, 2, 5, pytest.param(
-        "special", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="the 16th draw has coinciding branches, real only on "
-                   "two arcs of x3 narrower than reality's 16-sample "
-                   "spacing on [-1, 1]"))])
+    @pytest.mark.parametrize("kind", [1, 2, 5, "special"])
     def test_reality_is_a_nonempty_trace(self, kind):
         # one rule for every type: REAL iff a dense trace has samples; for
         # Type 5 that includes designs with |C5| < |a5| and no real point
@@ -438,18 +452,35 @@ class TestTrace:
             assert abs(s.params.x1 - _closed_form_type1(s.t, 1)[0]) <= 1e-12
 
     def test_coinciding_branches(self):
-        # the branch discriminant vanishes identically: both branches of
-        # x2 coincide over the whole range of x3
+        # alpha = 0: the line on the sphere is free of x1, so both branches
+        # share x2, and x1 takes both signs; the cells are exact, not the
+        # whole of [-1, 1]
         d = synth_leg_params(1, a2=GaussRat(0, F(-1, 4)), a4=0,
                              m5=(F(-3, 2), 0, 0), r1sq=F(8, 3))
         tr = trace(d, samples=200)
-        assert tr.is_real and tr.intervals == ((-1.0, 1.0),)
-        for s in tr.samples:
-            m = s.params
-            assert max(abs(r) for r in phi_residuals(m)) <= 1e-12
-            for hp in d.constraints():
-                val = sum(complex(c) * v for c, v in zip(hp.coeffs, m.coords()))
-                assert abs(val) <= 1e-12
+        r = float(sp.sqrt((96 * sp.sqrt(6) - 233) / 3).evalf(30))
+        assert r == 0.8467615380938323
+        assert tr.is_real and tr.intervals == ((-r, r),)
+        x1 = np.array([s.params.x1 for s in tr.samples])
+        assert (x1 > 0.5).any() and (x1 < -0.5).any()
+        _assert_on_curve(d, tr)
+
+    @pytest.mark.parametrize("kind", [1, 2, "special"])
+    def test_samples_on_the_curve_without_repeats(self, kind):
+        # seeded designs: no sample comes back twice, except where both
+        # branches meet at a cell end, and every sample satisfies the five
+        # constraints and the three quadrics
+        rng = random.Random(f"on-curve-{kind}")
+        drawn = real = 0
+        while drawn < 25:
+            d = _draw_design(kind, rng)
+            if d is None or d.m5[:2] == (0, 0):   # on the axis: not traced
+                continue
+            drawn += 1
+            tr = trace(d, samples=60)
+            real += tr.is_real
+            _assert_on_curve(d, tr)
+        assert real
 
     def test_invalid_design_rejected(self, type1_reference_design):
         d = type1_reference_design
@@ -495,9 +526,9 @@ class TestTrace:
         assert not trace(d, samples=50).samples
 
     @pytest.mark.xfail(strict=True, raises=NotASelfMotionError,
-                       reason="with A5 = B5 = 0 the first resultants are "
-                       "the square of a quadratic in x3, not the two-branch "
-                       "curve")
+                       reason="with A5 = B5 = 0 the relation on the sphere "
+                       "has alpha = beta = 0: its curve is circles about "
+                       "the axis, which are not traced")
     @pytest.mark.parametrize("kind", [1, 2])
     def test_mannheim_point_on_axis_traces(self, kind):
         params = {1: dict(a2=GaussRat(F(3, 4), -4), a4=-1,
@@ -657,23 +688,14 @@ class TestExactStage:
             _assert_same_samples(trace(d, samples=50), want)
         assert real
 
-    def test_disc_coefficients_correctly_rounded(self):
-        # the x3^2 coefficient of this design's branch discriminant is
-        # -161327161581678777028608, scaled by 2**78 (twice g's 39 bits);
-        # its float is the correctly rounded quotient
-        d = synth_leg_params(1, a2=GaussRat(F(-2, 3), F(3, 2)), a4=F(-1, 2),
-                             m5=(F(3, 2), 2, F(1, 2)), r1sq=4)
-        disc = d._branch_curve[0][3]
-        assert disc[2] == -161327161581678777028608 / 2 ** 78
-        assert disc[2].hex() == "-0x1.114c80edb4d0dp-1"
-
 
 _X = sp.Symbol("x")
 
 
 class TestRealIntervals:
-    """The cells of a branch discriminant are signed by its exact roots:
-    the leading sign right of the last root, flipped across odd roots."""
+    """The cells of a branch discriminant are signed by its exact roots: it
+    is negative at both infinities, and its sign flips across odd roots
+    only, so the cells are consecutive pairs of odd roots."""
 
     @staticmethod
     def _intervals(expr):
@@ -681,43 +703,46 @@ class TestRealIntervals:
         return _real_intervals(sp.Poly(expr, _X))
 
     def test_even_root_inside_an_interval(self):
-        # x^2 (x - 1)(x - 2) >= 0 on both sides of its double root 0
-        cells, rts = self._intervals(_X ** 2 * (_X - 1) * (_X - 2))
-        assert cells == [(-1.0, 1.0), (2.0, 3.0)]
-        assert rts == [0.0, 1.0, 2.0]
+        # -x^2 (x + 1)(x - 2) >= 0 on both sides of its double root 0
+        cells, rts = self._intervals(-_X ** 2 * (_X + 1) * (_X - 2))
+        assert cells == [(-1.0, 2.0)]
+        assert rts == [-1.0, 0.0, 2.0]
 
     def test_even_root_between_negative_cells(self):
-        # (2x - 1)^2 (x^2 - 4): negative on both sides of 1/2
-        cells, rts = self._intervals((2 * _X - 1) ** 2 * (_X ** 2 - 4))
-        assert cells == [(-3.0, -2.0), (2.0, 3.0)]
-        assert rts == [-2.0, 0.5, 2.0]
+        # -(2x - 1)^2 (x - 2)(x - 3): negative on both sides of 1/2
+        cells, rts = self._intervals(
+            -(2 * _X - 1) ** 2 * (_X - 2) * (_X - 3))
+        assert cells == [(2.0, 3.0)]
+        assert rts == [0.5, 2.0, 3.0]
 
     @pytest.mark.parametrize("expr, want", [
         (1 - _X ** 2, [(-1.0, 1.0)]),
-        (_X ** 3 - _X, [(-1.0, 0.0), (1.0, 2.0)]),
-        (-_X ** 3 + _X, [(-2.0, -1.0), (0.0, 1.0)]),
+        (-(_X ** 2 - 1) * (_X - 2) * (_X - 3), [(-1.0, 1.0), (2.0, 3.0)]),
+        (-(_X - 1) ** 3 * (_X + 1), [(-1.0, 1.0)]),
     ])
     def test_odd_roots_bound_intervals(self, expr, want):
         assert self._intervals(expr)[0] == want
 
     @pytest.mark.parametrize("expr, want", [
-        (sp.Integer(3), [(-1.0, 1.0)]), (sp.Integer(0), [(-1.0, 1.0)]),
-        (sp.Integer(-2), []), (_X ** 2 + 1, [(-1.0, 1.0)]),
-        (-_X ** 2 - 1, []),
+        (-_X ** 2 - 1, []), (-(_X ** 2 + 1) * (_X ** 2 + _X + 1), []),
     ])
     def test_no_real_root(self, expr, want):
         assert self._intervals(expr) == (want, [])
 
     def test_cells_have_the_exact_sign(self):
-        # on seeded integer polynomials with repeated roots, each interval
-        # is a cell of the real line cut at the roots where the exact
-        # polynomial is positive, and every positive cell is covered
+        # on seeded integer polynomials with repeated roots, negative at
+        # both infinities, each interval is a cell of the real line cut at
+        # the roots where the exact polynomial is positive, and every
+        # positive cell is covered
         rng = random.Random("real-intervals")
         for _ in range(40):
             factors = [(_X - rng.randint(-4, 4)) ** rng.randint(1, 3)
                        for _ in range(rng.randint(1, 3))]
-            p = sp.Poly(sp.Mul(rng.choice([-1, 1]), *factors,
-                               _X ** 2 + rng.randint(0, 2)), _X)
+            p = sp.Poly(sp.Mul(*factors, _X ** 2 + rng.randint(0, 2)), _X)
+            if p.degree() % 2:
+                p *= sp.Poly(_X - rng.randint(-4, 4), _X)
+            if p.LC() > 0:
+                p = -p
             cells, rts = self._intervals(p.as_expr())
             bounds = [rts[0] - 1] + rts + [rts[-1] + 1]
             for lo, hi in zip(bounds[:-1], bounds[1:]):
