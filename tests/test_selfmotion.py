@@ -725,6 +725,8 @@ class TestRealIntervals:
 
     @pytest.mark.parametrize("expr, want", [
         (-_X ** 2 - 1, []), (-(_X ** 2 + 1) * (_X ** 2 + _X + 1), []),
+        (sp.Integer(-2), []), (-(_X ** 2 + 2) ** 2, []),
+        (-_X ** 4 - _X ** 2 - 1, []),
     ])
     def test_no_real_root(self, expr, want):
         assert self._intervals(expr) == (want, [])
